@@ -6,13 +6,7 @@ rank. The rank always fits below the message's total entropy, and the
 mapping is exact integer arithmetic end to end.
 """
 
-from .binomials import (
-    FenwickTree,
-    MultinomialTracker,
-    PascalCache,
-    binomial,
-    multinomial,
-)
+from .binomials import multinomial
 from .codec import (
     RankRangeError,
     arrivals_from_numeral,
@@ -65,17 +59,13 @@ __all__ = [
     "BYTE_ALPHABET",
     "DEFAULT_BLOCK_SIZE",
     "EnumerationCapError",
-    "FenwickTree",
     "FrequencyTable",
     "MessageStats",
     "MODE_BIT",
     "MODE_BYTE",
-    "MultinomialTracker",
-    "PascalCache",
     "RankRangeError",
     "UnknownSymbolError",
     "arrivals_from_numeral",
-    "binomial",
     "brute_rank",
     "build_frequency_table",
     "compress",

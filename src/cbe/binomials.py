@@ -1,10 +1,9 @@
 """Exact combinatorial arithmetic for the rank codec.
 
-Binomial and multinomial coefficients, a grow-on-demand Pascal table for
-the binary paths, a Fenwick tree for prefix counts over symbol ranks,
-and the incremental multinomial state that prices each arriving symbol.
-Every value in this module is an exact integer; coefficients are never
-approximated.
+Multinomial coefficients over a table of symbol counts, plus the `mpz`
+integer type the codec's hot loops run on (gmpy2's when it is
+installed, plain `int` otherwise). Every value in this module is an
+exact integer; coefficients are never approximated.
 """
 
 import math
@@ -14,19 +13,6 @@ try:
 except ImportError:  # pragma: no cover - plain ints are a correct fallback
     mpz = int
     _comb = math.comb
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k), defined as 0 whenever k < 0 or k > n.
-
-    The out-of-range zero is load-bearing: binary rank sums legitimately
-    contain terms like C(0, 1).
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def multinomial(counts) -> int:
@@ -44,171 +30,3 @@ def multinomial(counts) -> int:
             total += c
             result *= _comb(total, c)
     return int(result)
-
-
-class PascalCache:
-    """Triangular table of binomial coefficients, grown row by row.
-
-    Row n holds C(n, 0..n). Rows are appended with the additive
-    recurrence; existing rows are never touched, so readers may share a
-    cache freely once it covers their range.
-    """
-
-    def __init__(self, max_n: int = 0):
-        self._rows = [[1]]
-        if max_n:
-            self.extend(max_n)
-
-    @property
-    def max_n(self) -> int:
-        """Highest materialized row index."""
-        return len(self._rows) - 1
-
-    def extend(self, n: int) -> None:
-        """Materialize rows up to n; no-op when they already exist."""
-        rows = self._rows
-        while len(rows) <= n:
-            prev = rows[-1]
-            row = [1] * (len(prev) + 1)
-            for k in range(1, len(prev)):
-                row[k] = prev[k - 1] + prev[k]
-            rows.append(row)
-
-    def coeff(self, n: int, k: int) -> int:
-        """C(n, k) from the table, 0 outside 0 <= k <= n; grows as needed."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if k < 0 or k > n:
-            return 0
-        if n > self.max_n:
-            self.extend(n)
-        return self._rows[n][k]
-
-    def row(self, n: int) -> tuple:
-        """Row n as a tuple (C(n,0), ..., C(n,n))."""
-        if n < 0:
-            raise ValueError("n must be nonnegative")
-        if n > self.max_n:
-            self.extend(n)
-        return tuple(self._rows[n])
-
-
-class FenwickTree:
-    """Prefix sums over symbol-rank counts in O(log size).
-
-    Indices are 0-based ranks. prefix_sum(k) is the total count held by
-    ranks strictly below k.
-    """
-
-    def __init__(self, size: int, counts=None):
-        if size < 1:
-            raise ValueError("size must be positive")
-        self.size = size
-        tree = [0] * (size + 1)
-        if counts is not None:
-            counts = list(counts)
-            if len(counts) != size:
-                raise ValueError("counts length must equal size")
-            # O(size) bulk build: push each node's partial into its parent
-            for idx in range(1, size + 1):
-                tree[idx] += counts[idx - 1]
-                parent = idx + (idx & -idx)
-                if parent <= size:
-                    tree[parent] += tree[idx]
-        self._tree = tree
-
-    def add(self, rank: int, delta: int = 1) -> None:
-        if not 0 <= rank < self.size:
-            raise IndexError("rank out of range")
-        idx = rank + 1
-        tree = self._tree
-        while idx <= self.size:
-            tree[idx] += delta
-            idx += idx & -idx
-
-    def prefix_sum(self, rank: int) -> int:
-        """Sum of counts for ranks < rank."""
-        if not 0 <= rank <= self.size:
-            raise IndexError("rank out of range")
-        total = 0
-        tree = self._tree
-        while rank:
-            total += tree[rank]
-            rank &= rank - 1
-        return total
-
-    def total(self) -> int:
-        return self.prefix_sum(self.size)
-
-    def find_cut(self, value: int):
-        """Largest rank k with prefix_sum(k) <= value, plus that prefix sum.
-
-        Requires 0 <= value < total(); the returned rank then always has
-        a positive count.
-        """
-        if value < 0 or value >= self.total():
-            raise ValueError("value outside cumulative range")
-        idx = 0
-        consumed = 0
-        bit = 1 << self.size.bit_length()
-        tree = self._tree
-        while bit:
-            nxt = idx + bit
-            if nxt <= self.size and consumed + tree[nxt] <= value:
-                consumed += tree[nxt]
-                idx = nxt
-            bit >>= 1
-        return idx, consumed
-
-
-class MultinomialTracker:
-    """Running multinomial coefficient over the symbols seen so far.
-
-    After i arrivals with per-rank counts g, `current` is the number of
-    distinct arrangements of that prefix, i!/prod(g!). Advancing by rank
-    k multiplies by (i+1)/(g_k+1); the recurrence guarantees the
-    division is exact, so an inexact one means corrupted state and
-    raises immediately rather than poisoning later ranks.
-    """
-
-    def __init__(self, alphabet_size: int):
-        if alphabet_size < 1:
-            raise ValueError("alphabet_size must be positive")
-        self.alphabet_size = alphabet_size
-        self.counts = [0] * alphabet_size
-        self.size = 0
-        self.current = 1
-        self._prefix = FenwickTree(alphabet_size)
-
-    def prefix_count(self, rank: int) -> int:
-        """Arrivals so far whose rank is strictly below `rank`."""
-        return self._prefix.prefix_sum(rank)
-
-    def weight(self, rank: int) -> int:
-        """Rank increment charged if a symbol of `rank` arrived now.
-
-        Equals the sum over lower ranks j of the arrangement counts that
-        result from swapping the arriving symbol for one seen j, folded
-        into a single exact division.
-        """
-        if not 0 <= rank < self.alphabet_size:
-            raise IndexError("rank out of range")
-        below = self._prefix.prefix_sum(rank)
-        if not below:
-            return 0
-        q, r = divmod(self.current * below, self.counts[rank] + 1)
-        if r:
-            raise AssertionError("tracker corrupted: inexact weight division")
-        return q
-
-    def advance(self, rank: int) -> None:
-        """Fold one arrival of `rank` into the running coefficient."""
-        if not 0 <= rank < self.alphabet_size:
-            raise IndexError("rank out of range")
-        q, r = divmod(self.current * (self.size + 1), self.counts[rank] + 1)
-        if r:
-            raise AssertionError("tracker corrupted: inexact advance division")
-        self.current = q
-        self.counts[rank] += 1
-        self.size += 1
-        self._prefix.add(rank, 1)

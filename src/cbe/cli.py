@@ -10,7 +10,6 @@ import argparse
 import io
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from . import container, selftest
 from .codec import RankRangeError, decode, encode
@@ -32,18 +31,6 @@ EXIT_FORMAT = 3
 EXIT_SELFTEST = 4
 
 _MODES = {"byte": container.MODE_BYTE, "bit": container.MODE_BIT}
-
-
-@dataclass
-class CliConfig:
-    command: str
-    input: str = "-"
-    output: str = "-"
-    block_size: int = DEFAULT_BLOCK_SIZE
-    mode: str = "byte"
-    message: str = None
-    index: int = None
-    freq_spec: str = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,24 +86,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv=None) -> CliConfig:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = CliConfig(command=args.command)
-    for name in ("input", "output", "block_size", "mode", "message",
-                 "freq_spec"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if cfg.block_size < 1:
+    if "block_size" in args and args.block_size < 1:
         parser.error("block size must be at least 1")
-    if cfg.command == "unrank":
+    if args.command == "unrank":
         try:
-            cfg.index = int(args.index)
+            args.index = int(args.index)
         except ValueError:
             parser.error(f"index {args.index!r} is not a decimal integer")
-        if cfg.index < 0:
+        if args.index < 0:
             parser.error("index must be nonnegative")
-    return cfg
+    return args
 
 
 @contextmanager
@@ -138,15 +120,15 @@ def _open_output(path):
             yield fp
 
 
-def run_compress(cfg: CliConfig) -> int:
-    with _open_input(cfg.input) as src, _open_output(cfg.output) as dst:
-        container.compress(src, dst, block_size=cfg.block_size,
-                           mode=_MODES[cfg.mode])
+def run_compress(args: argparse.Namespace) -> int:
+    with _open_input(args.input) as src, _open_output(args.output) as dst:
+        container.compress(src, dst, block_size=args.block_size,
+                           mode=_MODES[args.mode])
     return EXIT_OK
 
 
-def run_decompress(cfg: CliConfig) -> int:
-    with _open_input(cfg.input) as src, _open_output(cfg.output) as dst:
+def run_decompress(args: argparse.Namespace) -> int:
+    with _open_input(args.input) as src, _open_output(args.output) as dst:
         container.decompress(src, dst)
     return EXIT_OK
 
@@ -156,18 +138,18 @@ class _NullSink:
         return len(data)
 
 
-def run_stats(cfg: CliConfig) -> int:
-    with _open_input(cfg.input) as src:
+def run_stats(args: argparse.Namespace) -> int:
+    with _open_input(args.input) as src:
         data = src.read()
-    if cfg.mode == "byte":
+    if args.mode == "byte":
         table = build_frequency_table(data, BYTE_ALPHABET)
     else:
-        ones = sum(bin(b).count("1") for b in data)
+        ones = int.from_bytes(data, "little").bit_count()
         table = FrequencyTable(BIT_ALPHABET, (8 * len(data) - ones, ones))
     stats = message_stats(table)
     summary = container.compress(io.BytesIO(data), _NullSink(),
-                                 block_size=cfg.block_size,
-                                 mode=_MODES[cfg.mode])
+                                 block_size=args.block_size,
+                                 mode=_MODES[args.mode])
     lines = [
         f"n={stats.n}",
         f"t_effective={stats.t_effective}",
@@ -204,30 +186,30 @@ def parse_freq_spec(text: str) -> FrequencyTable:
     return FrequencyTable(alphabet, tuple(entries[s] for s in alphabet.symbols))
 
 
-def run_rank(cfg: CliConfig) -> int:
-    symbols = [ord(c) for c in cfg.message]
+def run_rank(args: argparse.Namespace) -> int:
+    symbols = [ord(c) for c in args.message]
     alphabet = Alphabet(tuple(set(symbols))) if symbols else BIT_ALPHABET
     rank, table = encode(symbols, alphabet)
     print(f"{rank}  {_freq_string(table)}")
     return EXIT_OK
 
 
-def run_unrank(cfg: CliConfig) -> int:
+def run_unrank(args: argparse.Namespace) -> int:
     try:
-        table = parse_freq_spec(cfg.freq_spec)
+        table = parse_freq_spec(args.freq_spec)
     except ValueError as exc:
         print(f"cbe: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if cfg.index >= permutation_count(table):
+    if args.index >= permutation_count(table):
         raise RankRangeError(
-            f"rank {cfg.index} out of range for table with "
+            f"rank {args.index} out of range for table with "
             f"{permutation_count(table)} arrangements"
         )
-    print("".join(chr(s) for s in decode(cfg.index, table)))
+    print("".join(chr(s) for s in decode(args.index, table)))
     return EXIT_OK
 
 
-def run_selftest(cfg: CliConfig) -> int:
+def run_selftest(args: argparse.Namespace) -> int:
     results = selftest.run_all()
     for result in results:
         if result.passed:
@@ -249,11 +231,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        cfg = parse_args(argv)
+        args = parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_OK
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except (ArchiveError, RankRangeError) as exc:
         print(f"cbe: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -17,18 +17,17 @@ number of arrangements of the prefix seen so far that would sort below
 it, maintained incrementally. No symbol statistics are needed up
 front; the counts accumulated during the pass are exactly the side
 information the decoder requires.
+
+`encode`/`decode` handle any alphabet. Bit mode uses `encode_binary`/
+`decode_binary`, the two-symbol case of the same ranking (Cover's
+enumerative code): they produce the same ranks, but roll a single
+binomial coefficient forward instead of keeping a Fenwick tally.
 """
 
 import math
 
-from .binomials import PascalCache, mpz, multinomial
+from .binomials import mpz, multinomial
 from .multiset import Alphabet, FrequencyTable, UnknownSymbolError
-
-# Full Pascal rows above this length cost more memory than they save;
-# longer binary inputs roll a single coefficient forward instead.
-_PASCAL_LOOKUP_LIMIT = 512
-
-_shared_cache = PascalCache()
 
 
 class RankRangeError(ValueError):
@@ -50,40 +49,15 @@ def numeral_from_arrivals(bits) -> str:
     return "".join("01"[b] for b in reversed(list(bits)))
 
 
-def encode_binary(bits, cache: PascalCache = None):
+def encode_binary(bits):
     """Rank a 0/1 arrival sequence among arrangements of its bit counts.
 
     Returns (rank, zeros, ones). Every ONE at arrival position i adds
     C(i, j), where j counts ones through position i inclusive; zeros
-    add nothing. Short inputs are priced from a shared Pascal table;
-    longer ones roll the single needed coefficient forward so memory
-    stays flat.
+    add nothing. The single coefficient needed next is rolled forward
+    with one exact multiply and divide per bit, so memory stays flat
+    and nothing is shared between calls.
     """
-    if cache is None:
-        length = len(bits) if hasattr(bits, "__len__") else None
-        if length is not None and length <= _PASCAL_LOOKUP_LIMIT:
-            cache = _shared_cache
-    if cache is not None:
-        return _encode_binary_cached(bits, cache)
-    return _encode_binary_rolling(bits)
-
-
-def _encode_binary_cached(bits, cache):
-    bits = list(bits)
-    cache.extend(len(bits))
-    coeff = cache.coeff
-    rank = 0
-    ones = 0
-    for i, b in enumerate(bits):
-        if b == 1:
-            ones += 1
-            rank += coeff(i, ones)
-        elif b != 0:
-            raise ValueError(f"bit at position {i} is {b!r}, expected 0 or 1")
-    return rank, len(bits) - ones, ones
-
-
-def _encode_binary_rolling(bits):
     # coeff tracks C(i, ones-before-i); both updates divide exactly.
     rank = mpz(0)
     coeff = mpz(1)
@@ -102,7 +76,7 @@ def _encode_binary_rolling(bits):
     return int(rank), i - ones, ones
 
 
-def decode_binary(rank, zeros: int, ones: int, cache: PascalCache = None):
+def decode_binary(rank, zeros: int, ones: int):
     """Rebuild the arrival sequence for (rank, zeros, ones).
 
     Walks positions from most significant down: with the position index
@@ -121,28 +95,6 @@ def decode_binary(rank, zeros: int, ones: int, cache: PascalCache = None):
         )
     if n == 0:
         return []
-    if cache is None and n <= _PASCAL_LOOKUP_LIMIT:
-        cache = _shared_cache
-    if cache is not None:
-        return _decode_binary_cached(rank, n, ones, cache)
-    return _decode_binary_rolling(rank, n, ones)
-
-
-def _decode_binary_cached(rank, n, ones, cache):
-    cache.extend(n)
-    coeff = cache.coeff
-    out = [0] * n
-    for pos in range(n - 1, -1, -1):
-        threshold = coeff(pos, ones)
-        if rank >= threshold:
-            rank -= threshold
-            out[pos] = 1
-            ones -= 1
-    assert rank == 0 and ones == 0
-    return out
-
-
-def _decode_binary_rolling(rank, n, ones):
     # threshold tracks C(pos, ones); stays 0 while only ones remain.
     rank = mpz(rank)
     threshold = mpz(math.comb(n - 1, ones))
@@ -170,7 +122,8 @@ def encode(message, alphabet: Alphabet):
     """
     ranks = alphabet.rank_map
     t = len(alphabet)
-    # Inlined Fenwick prefix/update (see binomials.FenwickTree); this
+    # Fenwick tree over symbol ranks: tree[j] holds the arrivals in the
+    # rank range ending at j-1 of width j & -j. Inlined because this
     # loop is the container's hot path.
     tree = [0] * (t + 1)
     counts = [0] * t

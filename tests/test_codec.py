@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbe.binomials import MultinomialTracker, PascalCache
 from cbe.codec import (
     RankRangeError,
     arrivals_from_numeral,
@@ -21,7 +20,7 @@ from cbe.multiset import (
     UnknownSymbolError,
     permutation_count,
 )
-from helpers import table_of
+from helpers import factorial_multinomial, table_of
 
 ABN = Alphabet((97, 98, 110))
 
@@ -67,7 +66,7 @@ class TestEncodeBinary:
         with pytest.raises(ValueError):
             encode_binary([0, 2, 1])
         with pytest.raises(ValueError):
-            encode_binary(iter([0, 2, 1]))  # rolling path validates too
+            encode_binary(iter([0, 2, 1]))  # iterators are checked too
 
     def test_accepts_iterator(self):
         # C(0,1) + C(2,2) for the two ones
@@ -96,24 +95,6 @@ class TestDecodeBinary:
 
     def test_empty(self):
         assert decode_binary(0, 0, 0) == []
-
-
-class TestBinaryPaths:
-    """The table-lookup and rolling-coefficient paths must agree."""
-
-    def test_paths_agree_above_table_limit(self):
-        rng = random.Random(77)
-        bits = [rng.randrange(2) for _ in range(600)]
-        rolling = encode_binary(bits)  # length > limit: rolling path
-        cached = encode_binary(bits, cache=PascalCache())
-        assert rolling == cached
-        rank, zeros, ones = rolling
-        assert decode_binary(rank, zeros, ones) == bits
-        assert decode_binary(rank, zeros, ones, cache=PascalCache()) == bits
-
-    @given(st.lists(st.integers(0, 1), max_size=64))
-    def test_paths_agree_small(self, bits):
-        assert encode_binary(bits) == encode_binary(bits, cache=PascalCache())
 
 
 class TestEncode:
@@ -233,21 +214,51 @@ class TestSpecialization:
         assert decode(rank, table) == decode_binary(rank, *table.counts) == bits
 
 
-class TestTrackerRoute:
-    """encode must equal the sum of per-arrival tracker weights."""
+class TestBinaryPaths:
+    """The rolling binary coder matches the general one at every length."""
 
-    @settings(deadline=None)
-    @given(st.lists(st.integers(0, 5), max_size=80))
-    def test_encode_equals_tracker_sum(self, ranks):
-        alpha = Alphabet(tuple(range(6)))
-        tracker = MultinomialTracker(6)
-        total = 0
-        for rank in ranks:
-            total += tracker.weight(rank)
-            tracker.advance(rank)
-        encoded, table = encode(ranks, alpha)
-        assert encoded == total
-        assert tracker.current == permutation_count(table)
+    @pytest.mark.parametrize("length", [1, 63, 64, 511, 512, 513, 1024])
+    @pytest.mark.parametrize("density", [0.1, 0.5])
+    def test_agrees_with_general(self, length, density):
+        rng = random.Random(length)
+        bits = [int(rng.random() < density) for _ in range(length)]
+        rank, table = encode(bits, Alphabet((0, 1)))
+        assert encode_binary(bits) == (rank, *table.counts)
+        assert decode_binary(rank, *table.counts) == decode(rank, table) == bits
+
+
+def literal_weight(counts, rank):
+    """Arrival weight as the spelled-out sum of factorial multinomials."""
+    total = 0
+    for j in range(rank):
+        if counts[j]:
+            moved = list(counts)
+            moved[j] -= 1
+            moved[rank] += 1
+            total += factorial_multinomial(moved)
+    return total
+
+
+class TestFactorialWeights:
+    """Each arrival raises encode's rank by the factorial-formula weight."""
+
+    def test_500_random_sequences_against_factorials(self):
+        rng = random.Random(1405)
+        for _ in range(500):
+            t = rng.randint(1, 8)
+            length = rng.randint(0, 64)
+            alpha = Alphabet(tuple(range(t)))
+            seq = [rng.randrange(t) for _ in range(length)]
+            counts = [0] * t
+            previous = 0
+            for i, rank in enumerate(seq):
+                weight = literal_weight(counts, rank)
+                counts[rank] += 1
+                encoded, table = encode(seq[: i + 1], alpha)
+                assert encoded - previous == weight
+                assert table.counts == tuple(counts)
+                assert permutation_count(table) == factorial_multinomial(counts)
+                previous = encoded
 
 
 class TestRoundtripProperty:

@@ -1,5 +1,8 @@
+import hashlib
 import io
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -178,6 +181,111 @@ class TestRoundtripCorpus:
     def test_roundtrip_property(self, data):
         assert decompress_bytes(compress_bytes(data)) == data
         assert decompress_bytes(compress_bytes(data, mode=MODE_BIT)) == data
+
+
+def _golden_input(kind, size, seed):
+    rng = random.Random(seed)
+    if kind == "random":
+        return rng.randbytes(size)
+    if kind == "text":
+        text = b"the quick brown fox jumps over the lazy dog. "
+        return (text * (size // len(text) + 1))[:size]
+    return bytes(rng.choice((0, 0, 0, 0, 0, 0, 0, 1, 16, 128))
+                 for _ in range(size))
+
+
+# sha256 of each archive; input i is seeded with 7000 + i. Bit-mode block
+# sizes 511, 512 and 513 put blocks on both sides of 512 bits.
+GOLDEN_ARCHIVES = [
+    ("random", 4096, MODE_BYTE, 4096,
+     "146d2ccfe518aff8b6ca9a8f2780e8d30ba65711e21752782a22b71582022706"),
+    ("text", 9000, MODE_BYTE, 4096,
+     "a8183bd256262fd239be36a0d46fd192bdd9a73336db2602e2c7bd0770250961"),
+    ("sparse", 9000, MODE_BYTE, 4096,
+     "5cec5b434c19a79d0a85fd182f5b0a99d062070f9bd18de02b3e749741ca3bde"),
+    ("random", 700, MODE_BYTE, 64,
+     "4389d642b9a0f529f7c5543c06515117a7b4a7658246d6cde100ffbe98f96c2f"),
+    ("text", 700, MODE_BYTE, 511,
+     "c2eea9745c2176a2d535a102f55e93ff9fe133a6168d592d40be84c53f9db429"),
+    ("sparse", 700, MODE_BYTE, 513,
+     "d6bb4f5b419cdd1757c22e5d518046d00b451bb9f4ad32ae8f662ba3bd32b536"),
+    ("random", 64, MODE_BIT, 64,
+     "41426f0f11f05e45bc5d6c9da7642059ba73158e60bfb883705cff5620429abb"),
+    ("random", 200, MODE_BIT, 511,
+     "f79f9c9b53cd3baa5de95f867abdd55327e01363abea5a798e0916c1e2af9869"),
+    ("random", 200, MODE_BIT, 512,
+     "9a79efb49c4430e4d5e00009686648c40dcc6ac417233d83fdbbe6fc01c70836"),
+    ("random", 200, MODE_BIT, 513,
+     "990862e29d7ac96ce3544d2fdfd1c06cd0f4bedf9c9737e894e5dbed88b9f9a3"),
+    ("text", 200, MODE_BIT, 512,
+     "00999d814d596d51fb181bbc07f11c20111fe5e52cf25200438a7319195fcc73"),
+    ("sparse", 200, MODE_BIT, 511,
+     "4204c4cc9737b1e6d7ca7b29059cbd55e0c0c83f761d198572495ef5c5d72f9c"),
+    ("sparse", 200, MODE_BIT, 512,
+     "9fe01b5fbbd6aa97b1793bd52a0d2caa7d5c6ad5f033f456cacc8d7a6e9b2ae8"),
+    ("sparse", 200, MODE_BIT, 513,
+     "305383ca9f1a79082b0acf0e97f17af55b111e6ab5677bf811dcad35f1e5e447"),
+    ("sparse", 1000, MODE_BIT, 4096,
+     "bfe278e1b9814cec544b4fb7b6b0a0aff923da1bf1e5ff0e05666cc9a042e9f8"),
+]
+
+
+class TestGoldenArchives:
+    """Archives stay byte-identical to the pinned ones."""
+
+    @pytest.mark.parametrize(
+        "index,kind,size,mode,block_size,digest",
+        [(i, *case) for i, case in enumerate(GOLDEN_ARCHIVES)],
+        ids=[f"{kind}-{size}-{'bit' if mode == MODE_BIT else 'byte'}-{bs}"
+             for kind, size, mode, bs, _ in GOLDEN_ARCHIVES],
+    )
+    def test_archive_digest(self, index, kind, size, mode, block_size, digest):
+        data = _golden_input(kind, size, 7000 + index)
+        archive = compress_bytes(data, block_size=block_size, mode=mode)
+        assert hashlib.sha256(archive).hexdigest() == digest
+        assert decompress_bytes(archive) == data
+
+
+class TestThreads:
+    def test_four_threads_match_sequential(self):
+        # every thread codes its own inputs; no state may leak between them
+        jobs = []
+        for k in range(4):
+            rng = random.Random(k)
+            jobs.append([(rng.randbytes(size), mode)
+                         for mode in (MODE_BIT, MODE_BYTE)
+                         for size in (64, 4096)])
+        barrier = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+        errors = []
+
+        def work(k):
+            try:
+                barrier.wait()
+                out = []
+                for data, mode in jobs[k]:
+                    archive = compress_bytes(data, mode=mode)
+                    out.append((archive, decompress_bytes(archive)))
+                results[k] = out
+            except Exception as exc:  # surfaced by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave threads inside short calls
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for k in range(4):
+            for (data, mode), (archive, restored) in zip(jobs[k], results[k]):
+                assert archive == compress_bytes(data, mode=mode)
+                assert restored == data
 
 
 class _DribbleReader:

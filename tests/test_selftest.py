@@ -28,7 +28,7 @@ def test_reference_table_shape():
     assert selftest.BANANA_RANKING[22] == "banana"
 
 
-def _swapped_operation_order(bits, cache=None):
+def _swapped_operation_order(bits):
     # the rejected variant: add C(i, ones) before counting the new one
     rank = 0
     ones = 0
