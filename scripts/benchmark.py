@@ -53,7 +53,7 @@ def run(name, data, block_size, mode):
     if mode == MODE_BYTE:
         table = build_frequency_table(data, BYTE_ALPHABET)
     else:
-        ones = sum(bin(b).count("1") for b in data)
+        ones = int.from_bytes(data, "little").bit_count()
         table = FrequencyTable(BIT_ALPHABET, (8 * len(data) - ones, ones))
     stats = message_stats(table)
     mib = len(data) / (1 << 20)

@@ -7,13 +7,12 @@ and results go to stdout, so pipelines stay clean.
 """
 
 import argparse
-import io
 import sys
 from contextlib import contextmanager
 
 from . import container, selftest
 from .codec import RankRangeError, decode, encode
-from .container import ArchiveError, DEFAULT_BLOCK_SIZE
+from .container import ArchiveError, DEFAULT_BLOCK_SIZE, summarize
 from .multiset import (
     Alphabet,
     FrequencyTable,
@@ -133,11 +132,6 @@ def run_decompress(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _NullSink:
-    def write(self, data):
-        return len(data)
-
-
 def run_stats(args: argparse.Namespace) -> int:
     with _open_input(args.input) as src:
         data = src.read()
@@ -147,9 +141,7 @@ def run_stats(args: argparse.Namespace) -> int:
         ones = int.from_bytes(data, "little").bit_count()
         table = FrequencyTable(BIT_ALPHABET, (8 * len(data) - ones, ones))
     stats = message_stats(table)
-    summary = container.compress(io.BytesIO(data), _NullSink(),
-                                 block_size=args.block_size,
-                                 mode=_MODES[args.mode])
+    summary = summarize(data, block_size=args.block_size, mode=_MODES[args.mode])
     lines = [
         f"n={stats.n}",
         f"t_effective={stats.t_effective}",

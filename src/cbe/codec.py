@@ -14,20 +14,31 @@ ones.
 
 Encoding is adaptive and single-pass: each arrival is charged the
 number of arrangements of the prefix seen so far that would sort below
-it, maintained incrementally. No symbol statistics are needed up
-front; the counts accumulated during the pass are exactly the side
-information the decoder requires.
+it. No symbol statistics are needed up front; the counts accumulated
+during the pass are exactly the side information the decoder requires.
+`encode` tallies the message run by run, turns the runs into terms of
+one rational series, and sums every few hundred terms at once with a
+product tree (binary splitting, after Haible and Papanikolaou), folding
+each partial sum into the rank with exact divisions.
 
 `encode`/`decode` handle any alphabet. Bit mode uses `encode_binary`/
 `decode_binary`, the two-symbol case of the same ranking (Cover's
 enumerative code): they produce the same ranks, but roll a single
-binomial coefficient forward instead of keeping a Fenwick tally.
+binomial coefficient forward, which is faster on bit blocks than the
+general kernel.
 """
 
 import math
+from itertools import groupby
 
 from .binomials import mpz, multinomial
 from .multiset import Alphabet, FrequencyTable, UnknownSymbolError
+
+
+# Arrivals per product tree in `encode`. Larger trees multiply numbers
+# far bigger than the rank on sparse blocks; smaller ones pay more
+# full-width divisions.
+_CHUNK = 512
 
 
 class RankRangeError(ValueError):
@@ -119,37 +130,85 @@ def encode(message, alphabet: Alphabet):
     stream with no lookahead. Returns (rank, table) where the frequency
     table was tallied during the pass and is the side information
     `decode` needs back.
+
+    Arrival i adds M_i * b_i / s_i to the rank, where M_i counts the
+    arrangements of the first i arrivals, b_i of those rank below the
+    arriving symbol, and s_i is the symbol's count once it has arrived;
+    M_{i+1} = M_i * (i+1) / s_i. A run of r equal symbols is tallied
+    once. It becomes r leaves (P, Q, T) = (i+1, s_i, b_i), or a single
+    leaf of falling factorials when it has one symbol or its b is 0; a
+    run that only extends an all-equal prefix adds nothing. Every
+    `_CHUNK` arrivals a product tree reduces the pending leaves and they
+    are folded into the rank with exact divisions, which keeps the
+    numbers near the size of the rank itself.
     """
     ranks = alphabet.rank_map
-    t = len(alphabet)
-    # Fenwick tree over symbol ranks: tree[j] holds the arrivals in the
-    # rank range ending at j-1 of width j & -j. Inlined because this
-    # loop is the container's hot path.
-    tree = [0] * (t + 1)
-    counts = [0] * t
-    current = mpz(1)
+    counts = [0] * len(alphabet)
+    coarse = [0] * ((len(alphabet) + 15) >> 4)  # arrivals per 16 ranks
+    prefix = mpz(1)  # M at the start of the pending chunk
     rank = mpz(0)
+    ps, qs, ts = [], [], []
     i = 0
-    for symbol in message:
+    fold_at = _CHUNK
+    for symbol, run in groupby(message):
         k = ranks.get(symbol)
         if k is None:
             raise UnknownSymbolError(symbol, i)
-        below = 0
-        j = k
-        while j:
-            below += tree[j]
-            j &= j - 1
-        seen_k = counts[k] + 1
-        i += 1
-        if below:
-            rank += current * below // seen_k
-        current = current * i // seen_k
-        counts[k] = seen_k
-        j = k + 1
-        while j <= t:
-            tree[j] += 1
-            j += j & -j
+        r = len(list(run))
+        s = counts[k]
+        hi = k >> 4
+        if s != i:  # a run extending an all-k prefix is the identity leaf
+            # arrivals below k: whole groups of 16 ranks, then k's group
+            b = sum(coarse[:hi]) + sum(counts[hi << 4:k])
+            if r == 1:
+                ps.append(i + 1)
+                qs.append(s + 1)
+                ts.append(b)
+            elif not b:
+                ps.append(math.perm(i + r, r))
+                qs.append(math.perm(s + r, r))
+                ts.append(0)
+            else:
+                ps.extend(range(i + 1, i + r + 1))
+                qs.extend(range(s + 1, s + r + 1))
+                ts.extend([b] * r)
+        counts[k] = s + r
+        coarse[hi] += r
+        i += r
+        if i >= fold_at:
+            if ps:
+                p, q, t = _product_tree(ps, qs, ts)
+                if t:
+                    rank += prefix * t // q
+                prefix = prefix * p // q
+                ps, qs, ts = [], [], []
+            fold_at = i + _CHUNK
+    if ps:
+        _, q, t = _product_tree(ps, qs, ts)
+        rank += prefix * t // q
     return int(rank), FrequencyTable(alphabet, tuple(counts))
+
+
+def _product_tree(ps, qs, ts):
+    """Reduce leaves (P, Q, T) pairwise into one (P, Q, T).
+
+    A pair combines as (P1*P2, Q1*Q2, T1*Q2 + P1*T2), so the root's T/Q
+    is the sum of every leaf's T/Q scaled by the P/Q of the leaves
+    before it, and its P and Q are the products of all leaves.
+    """
+    while len(ps) > 1:
+        p_left = ps[0::2]
+        q_right = qs[1::2]
+        new_ts = [t1 * q2 + p1 * t2 for p1, t1, q2, t2
+                  in zip(p_left, ts[0::2], q_right, ts[1::2])]
+        new_ps = [p1 * p2 for p1, p2 in zip(p_left, ps[1::2])]
+        new_qs = [q1 * q2 for q1, q2 in zip(qs[0::2], q_right)]
+        if len(ps) & 1:
+            new_ps.append(ps[-1])
+            new_qs.append(qs[-1])
+            new_ts.append(ts[-1])
+        ps, qs, ts = new_ps, new_qs, new_ts
+    return ps[0], qs[0], ts[0]
 
 
 def decode(rank, table: FrequencyTable):

@@ -20,7 +20,7 @@ significant bit first, so byte k contributes arrival positions
 """
 
 import io
-import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .binomials import multinomial
@@ -31,6 +31,7 @@ MAGIC = b"CBE1"
 MODE_BYTE = 0x01
 MODE_BIT = 0x02
 DEFAULT_BLOCK_SIZE = 4096
+_RUN_PIECE = 1 << 16  # largest write when streaming a one-symbol block
 
 
 class ArchiveError(ValueError):
@@ -98,7 +99,7 @@ class _ByteReader:
 
 @dataclass(frozen=True)
 class ArchiveSummary:
-    """Size accounting returned by `compress`."""
+    """Size accounting returned by `compress` and `summarize`."""
 
     blocks: int
     symbols: int
@@ -124,17 +125,45 @@ def _read_full(src, size: int) -> bytes:
     return b"".join(parts)
 
 
-def _write_block(dst, n, entries, rank, width_bits):
-    payload_len = (width_bits + 7) // 8
+def _frame(n, entries):
+    """One block's header bytes and rank width in bits.
+
+    The single place that lays out a block's framing: `compress` writes
+    this header ahead of the rank, `summarize` only measures it.
+    """
+    width = rank_width_bits(multinomial([count for _, count in entries]))
     parts = [write_varint(n), write_varint(len(entries))]
     for symbol, count in entries:
         parts.append(bytes((symbol,)))
         parts.append(write_varint(count))
-    parts.append(write_varint(payload_len))
-    parts.append(rank.to_bytes(payload_len, "big"))
-    block = b"".join(parts)
-    dst.write(block)
-    return len(block) - payload_len, payload_len
+    parts.append(write_varint((width + 7) // 8))
+    return b"".join(parts), width
+
+
+def _summary(frames):
+    """ArchiveSummary of an archive whose blocks frame as (n, header, width)."""
+    blocks = symbols = payload_bits = payload_bytes = 0
+    overhead = len(MAGIC) + 2  # mode byte and end marker
+    for n, header, width in frames:
+        blocks += 1
+        symbols += n
+        payload_bits += width
+        payload_bytes += (width + 7) // 8
+        overhead += len(header)
+    return ArchiveSummary(
+        blocks=blocks,
+        symbols=symbols,
+        payload_bits=payload_bits,
+        payload_bytes=payload_bytes,
+        overhead_bytes=overhead,
+    )
+
+
+def _check_coding(block_size, mode):
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
+    if mode not in (MODE_BYTE, MODE_BIT):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 _BIT_TUPLES = tuple(
@@ -158,71 +187,91 @@ def _iter_bit_blocks(src, block_size):
         yield pending
 
 
+def _ranked_blocks(src, block_size, mode):
+    """(n, entries, rank) for each block of `src`, each ranked in one pass."""
+    index = 0
+    if mode == MODE_BYTE:
+        while True:
+            try:
+                chunk = _read_full(src, block_size)
+            except OSError as exc:
+                raise OSError(f"reading block {index}: {exc}") from exc
+            if not chunk:
+                return
+            rank, table = encode(chunk, BYTE_ALPHABET)
+            yield len(chunk), table.nonzero_items(), rank
+            index += 1
+    else:
+        try:
+            for bits in _iter_bit_blocks(src, block_size):
+                rank, zeros, ones = encode_binary(bits)
+                entries = [(s, c) for s, c in ((0, zeros), (1, ones)) if c]
+                yield len(bits), entries, rank
+                index += 1
+        except OSError as exc:
+            raise OSError(f"reading block {index}: {exc}") from exc
+
+
 def compress(src, dst, *, block_size: int = DEFAULT_BLOCK_SIZE, mode: int = MODE_BYTE):
     """Encode `src` into `dst` as independent blocks; returns ArchiveSummary.
 
     Every block is a single adaptive pass: the counts tallied while
     ranking the block become its header.
     """
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    if mode not in (MODE_BYTE, MODE_BIT):
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_coding(block_size, mode)
     dst.write(MAGIC)
     dst.write(bytes((mode,)))
-    overhead = len(MAGIC) + 1
-    payload_bits = payload_bytes = blocks = symbols = 0
 
-    if mode == MODE_BYTE:
-        while True:
-            try:
-                chunk = _read_full(src, block_size)
-            except OSError as exc:
-                raise OSError(f"reading block {blocks}: {exc}") from exc
-            if not chunk:
-                break
-            rank, table = encode(chunk, BYTE_ALPHABET)
-            entries = table.nonzero_items()
-            width = rank_width_bits(multinomial(table.counts))
-            head, paid = _write_block(dst, len(chunk), entries, rank, width)
-            overhead += head
-            payload_bytes += paid
-            payload_bits += width
-            blocks += 1
-            symbols += len(chunk)
-    else:
-        try:
-            for bits in _iter_bit_blocks(src, block_size):
-                rank, zeros, ones = encode_binary(bits)
-                entries = [(s, c) for s, c in ((0, zeros), (1, ones)) if c]
-                width = rank_width_bits(math.comb(zeros + ones, ones))
-                head, paid = _write_block(dst, len(bits), entries, rank, width)
-                overhead += head
-                payload_bytes += paid
-                payload_bits += width
-                blocks += 1
-                symbols += len(bits)
-        except OSError as exc:
-            raise OSError(f"reading block {blocks}: {exc}") from exc
+    def frames():
+        for n, entries, rank in _ranked_blocks(src, block_size, mode):
+            header, width = _frame(n, entries)
+            dst.write(header + rank.to_bytes((width + 7) // 8, "big"))
+            yield n, header, width
 
+    summary = _summary(frames())
     dst.write(write_varint(0))
-    overhead += 1
-    return ArchiveSummary(
-        blocks=blocks,
-        symbols=symbols,
-        payload_bits=payload_bits,
-        payload_bytes=payload_bytes,
-        overhead_bytes=overhead,
-    )
+    return summary
+
+
+def _tallied_blocks(data, block_size, mode):
+    """(n, entries) for each block of `data`, from symbol counts alone."""
+    if mode == MODE_BYTE:
+        for start in range(0, len(data), block_size):
+            chunk = data[start:start + block_size]
+            yield len(chunk), sorted(Counter(chunk).items())
+    else:
+        total = 8 * len(data)
+        for start in range(0, total, block_size):
+            n = min(block_size, total - start)
+            word = int.from_bytes(data[start >> 3:(start + n + 7) >> 3], "little")
+            ones = (word >> (start & 7) & ((1 << n) - 1)).bit_count()
+            yield n, [(s, c) for s, c in ((0, n - ones), (1, ones)) if c]
+
+
+def summarize(data: bytes, *, block_size: int = DEFAULT_BLOCK_SIZE,
+              mode: int = MODE_BYTE) -> ArchiveSummary:
+    """The ArchiveSummary `compress` returns for `data`, without ranking.
+
+    A block's header and payload width follow from its symbol counts, so
+    each block is only tallied.
+    """
+    _check_coding(block_size, mode)
+
+    def frames():
+        for n, entries in _tallied_blocks(data, block_size, mode):
+            header, width = _frame(n, entries)
+            yield n, header, width
+
+    return _summary(frames())
 
 
 def _read_block_table(reader, n, index, max_symbol):
-    """Parse one block's symbol entries; returns a 256-slot count list."""
+    """Parse one block's symbol entries; returns a count per symbol id."""
     what = f"block {index}"
     distinct = reader.varint(what)
     if not 1 <= distinct <= max_symbol + 1:
         raise ArchiveError(f"{what}: invalid distinct-symbol count {distinct}")
-    counts = [0] * 256
+    counts = [0] * (max_symbol + 1)
     previous = -1
     total = 0
     for _ in range(distinct):
@@ -277,16 +326,10 @@ def decompress(src, dst):
         if n == 0:
             break
         index += 1
-        if mode == MODE_BYTE:
-            counts = _read_block_table(reader, n, index, 255)
-            permutations = multinomial(counts)
-            rank = _read_block_rank(reader, index, permutations)
-            ranks = _unrank_counts(rank, counts, permutations)
-            dst.write(bytes(ranks))
-        else:
-            counts = _read_block_table(reader, n, index, 1)
-            permutations = math.comb(n, counts[1])
-            rank = _read_block_rank(reader, index, permutations)
+        counts = _read_block_table(reader, n, index, 255 if mode == MODE_BYTE else 1)
+        permutations = multinomial(counts)
+        rank = _read_block_rank(reader, index, permutations)
+        if mode == MODE_BIT:
             packed = bytearray()
             for bit in decode_binary(rank, counts[0], counts[1]):
                 bit_acc |= bit << bit_fill
@@ -296,6 +339,15 @@ def decompress(src, dst):
                     bit_acc = 0
                     bit_fill = 0
             dst.write(bytes(packed))
+        elif permutations == 1:
+            # one symbol, n times: stream it rather than unrank n arrivals
+            piece = bytes((counts.index(n),)) * min(n, _RUN_PIECE)
+            while n > len(piece):
+                dst.write(piece)
+                n -= len(piece)
+            dst.write(piece[:n])
+        else:
+            dst.write(bytes(_unrank_counts(rank, counts, permutations)))
     if mode == MODE_BIT and bit_fill:
         raise ArchiveError("bit stream does not end on a byte boundary")
     if src.read(1):

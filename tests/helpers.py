@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
-from math import factorial
+from functools import cache
+from math import factorial, prod
 
 from cbe import Alphabet, FrequencyTable
 
@@ -20,7 +21,9 @@ def char_table(spec: dict) -> FrequencyTable:
 
 def factorial_multinomial(counts) -> int:
     """Arrangement count straight from factorials (independent oracle)."""
-    result = factorial(sum(counts))
-    for c in counts:
-        result //= factorial(c)
-    return result
+    return _factorial(sum(counts)) // prod(_factorial(c) for c in counts)
+
+
+@cache
+def _factorial(n: int) -> int:
+    return factorial(n)

@@ -261,6 +261,49 @@ class TestFactorialWeights:
                 previous = encoded
 
 
+def _run_sequence(rng, symbols, length):
+    """Runs of random length over `symbols`, with runs of a symbol that is
+    not the lowest seen straddling arrival positions 512 and 1024."""
+    seq = []
+    while len(seq) < length:
+        r = 1 if rng.random() < 0.5 else rng.randint(2, 80)
+        seq.extend([rng.choice(symbols)] * r)
+    seq[490:540] = [symbols[-1]] * 50
+    seq[1000:1030] = [symbols[len(symbols) // 2 + 1]] * 30
+    return seq[:length]
+
+
+class TestChunkBoundaries:
+    """encode folds a product tree every few hundred arrivals; ranks of
+    prefixes ending on either side of those folds match the factorial
+    weights."""
+
+    PREFIXES = (1, 511, 512, 513, 1023, 1024, 1025, 1100)
+
+    def test_50_sequences_against_factorials(self):
+        rng = random.Random(2718)
+        for case in range(50):
+            t = (3, 17, 256)[case % 3]
+            # over 256 symbols, a spread subset keeps the oracle affordable
+            symbols = (list(range(t)) if t < 256
+                       else sorted(rng.sample(range(t), 6) + [40, 41, 47]))
+            seq = _run_sequence(rng, symbols, 1100)
+            assert min(seq[:490]) < seq[500] and min(seq[:1000]) < seq[1010]
+            alpha = Alphabet(tuple(range(t)))
+            counts = [0] * t
+            total = 0
+            weights = {}
+            for i, k in enumerate(seq):
+                total += literal_weight(counts, k)
+                counts[k] += 1
+                weights[i + 1] = total
+            for length in self.PREFIXES:
+                rank, table = encode(seq[:length], alpha)
+                assert rank == weights[length], (case, length)
+            rank, table = encode(iter(seq), alpha)
+            assert decode(rank, table) == seq
+
+
 class TestRoundtripProperty:
     @settings(deadline=None, max_examples=60)
     @given(

@@ -3,6 +3,7 @@ import io
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from cbe.container import (
     decompress,
     decompress_bytes,
     read_varint,
+    summarize,
     write_varint,
 )
 
@@ -286,6 +288,70 @@ class TestThreads:
             for (data, mode), (archive, restored) in zip(jobs[k], results[k]):
                 assert archive == compress_bytes(data, mode=mode)
                 assert restored == data
+
+
+class _CountingSink:
+    """Write target that keeps only how many bytes, and which, arrived."""
+
+    def __init__(self):
+        self.size = 0
+        self.values = set()
+
+    def write(self, data):
+        self.size += len(data)
+        self.values.update(data)
+        return len(data)
+
+
+class TestOneSymbolBlocks:
+    """A block of one repeated byte is written out without unranking."""
+
+    def test_huge_block_streams_in_bounded_memory(self):
+        n = 2 ** 24
+        archive = (b"CBE1\x01" + write_varint(n) + write_varint(1) + b"\x41"
+                   + write_varint(n) + write_varint(0) + write_varint(0))
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            decompress(io.BytesIO(archive), sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sink.size == n
+        assert sink.values == {0x41}
+
+    @pytest.mark.parametrize("size", [1, 4095, 4096, 4097])
+    def test_constant_roundtrip(self, size):
+        data = b"\x9c" * size
+        archive = compress_bytes(data)
+        assert decompress_bytes(archive) == data
+        # every block is one symbol, so every payload is empty
+        assert compress(io.BytesIO(data), io.BytesIO()).payload_bytes == 0
+
+
+class TestSummarize:
+    """`summarize` sizes an archive from block tables, as `compress` does."""
+
+    @pytest.mark.parametrize("kind", ["random", "text", "sparse"])
+    @pytest.mark.parametrize("mode", [MODE_BYTE, MODE_BIT])
+    @pytest.mark.parametrize("block_size", [64, 513, 4096])
+    def test_equals_compress_summary(self, kind, mode, block_size):
+        data = _golden_input(kind, 2500, 900 + block_size)
+        want = compress(io.BytesIO(data), io.BytesIO(),
+                        block_size=block_size, mode=mode)
+        assert summarize(data, block_size=block_size, mode=mode) == want
+
+    @pytest.mark.parametrize("mode", [MODE_BYTE, MODE_BIT])
+    def test_empty_input(self, mode):
+        want = compress(io.BytesIO(b""), io.BytesIO(), mode=mode)
+        assert summarize(b"", mode=mode) == want
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            summarize(b"abc", block_size=0)
+        with pytest.raises(ValueError):
+            summarize(b"abc", mode=7)
 
 
 class _DribbleReader:
