@@ -23,7 +23,8 @@ from cbe.multiset import (
 )
 
 
-def corpora(size, seed):
+def corpora(size, seed, block_bytes):
+    """Named inputs of `size` bytes; `sorted` sorts each block's bytes."""
     rng = random.Random(seed)
     text = (
         b"the quick brown fox jumps over the lazy dog while the codec "
@@ -35,6 +36,13 @@ def corpora(size, seed):
     yield "text", (text * (size // len(text) + 1))[:size]
     yield "skewed-8", skew
     yield "random", rng.randbytes(size)
+    # every rank sits at the top of its range: decisions land on cut
+    # boundaries, where the unranker must certify or step exactly
+    shuffled = rng.randbytes(size)
+    yield "sorted", b"".join(
+        bytes(sorted(shuffled[i:i + block_bytes]))
+        for i in range(0, size, block_bytes)
+    )
 
 
 def run(name, data, block_size, mode):
@@ -78,7 +86,8 @@ def main():
     mode = MODE_BYTE if args.mode == "byte" else MODE_BIT
 
     print(f"size={args.size} block_size={args.block_size} mode={args.mode}")
-    for name, data in corpora(args.size, args.seed):
+    block_bytes = args.block_size if mode == MODE_BYTE else -(-args.block_size // 8)
+    for name, data in corpora(args.size, args.seed, block_bytes):
         run(name, data, args.block_size, mode)
 
 

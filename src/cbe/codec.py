@@ -21,6 +21,13 @@ one rational series, and sums every few hundred terms at once with a
 product tree (binary splitting, after Haible and Papanikolaou), folding
 each partial sum into the rank with exact divisions.
 
+`decode` walks back from the top position down. Each of its steps is
+the interval-narrowing step of arithmetic decoding (Witten, Neal and
+Cleary), so it reads symbols off the leading bits of the rank and the
+arrangement count alone, accepts each only once a bound on how far
+those bits can have drifted proves it, and folds every chunk of
+decisions back into the exact numbers with the same product tree.
+
 `encode`/`decode` handle any alphabet. Bit mode uses `encode_binary`/
 `decode_binary`, the two-symbol case of the same ranking (Cover's
 enumerative code): they produce the same ranks, but roll a single
@@ -39,6 +46,14 @@ from .multiset import Alphabet, FrequencyTable, UnknownSymbolError
 # far bigger than the rank on sparse blocks; smaller ones pay more
 # full-width divisions.
 _CHUNK = 512
+
+# `_unrank_counts` decodes from the top `_WINDOW` bits of rank and
+# total. A chunk stops once its total is within `_GUARD` bits of its
+# drift bound, and a total of at most `_TAIL` bits is finished with
+# exact steps, which are then no dearer than windowed ones.
+_WINDOW = 768
+_GUARD = 32
+_TAIL = 2 * _WINDOW
 
 
 class RankRangeError(ValueError):
@@ -232,8 +247,27 @@ def _unrank_counts(rank, counts, permutations):
     """Arrival ranks for `rank`, given remaining `counts` summing to n.
 
     Caller guarantees 0 <= rank < permutations == multinomial(counts).
-    Chooses the top position's symbol by cumulative arrangement counts,
-    found through a Fenwick descent, then moves down one position.
+    Decoding runs from the top position down. With m symbols left and
+    x = rank/total, the symbol there is the one whose cumulative-count
+    interval holds cut = floor(x*m), found through a Fenwick descent;
+    then rank -= total*below/m and total = total*count/m. That is the
+    interval-narrowing step of arithmetic decoding, and it needs only
+    the leading bits of rank and total.
+
+    So each chunk takes the top `_WINDOW` bits of both and decodes
+    from those, with a bound on how far they can have drifted from the
+    exact values. A symbol is accepted only when every value within
+    that bound gives the same cut, so no decision is ever wrong. Each
+    accepted symbol leaves a leaf (count, m, below); at the chunk's end
+    `_product_tree` reduces them to (P, Q, T), and one full-width
+    division by Q applies rank -= total*T/Q and total = total*P/Q
+    exactly. A chunk ends after `_CHUNK` symbols, once its total comes
+    within `_GUARD` bits of the bound, or at a decision it cannot
+    certify, which is then taken as one exact full-width step. Once
+    total is at most `_TAIL` bits the block finishes with exact steps.
+    Cuts that stay in the previous symbol's interval skip the descent
+    and defer its tree updates, and a rank of 0 is the lowest
+    arrangement, written out directly.
     """
     t = len(counts)
     remaining = list(counts)
@@ -249,30 +283,94 @@ def _unrank_counts(rank, counts, permutations):
         parent = idx + (idx & -idx)
         if parent <= t:
             tree[parent] += tree[idx]
-    top = 1 << t.bit_length()
-    pos = m
+    top = 1 << (t.bit_length() - 1)
+    # Symbol `run_k` owns cuts [run_lo, run_hi) and has `pending`
+    # decrements not yet in the tree, which do not move run_lo.
+    run_k = run_lo = pending = 0
+    run_hi = remaining[0]
+    certain = True
     while m:
-        cut = int(rank * m // total)
-        k = 0
-        below = cut
-        bit = top
-        while bit:
-            nxt = k + bit
-            if nxt <= t and tree[nxt] <= below:
-                below -= tree[nxt]
-                k = nxt
-            bit >>= 1
-        below = cut - below  # prefix count of ranks < k
-        if below:
-            rank -= total * below // m
-        total = total * remaining[k] // m
-        remaining[k] -= 1
-        j = k + 1
-        while j <= t:
-            tree[j] -= 1
-            j += j & -j
-        m -= 1
-        pos -= 1
-        out[pos] = k
+        if not rank:  # lowest arrangement: ascending from the top down
+            for k, c in enumerate(remaining):
+                out[m - c:m] = [k] * c
+                m -= c
+            break
+        width = total.bit_length()
+        start = m
+        if width > _TAIL and certain:
+            shift = width - _WINDOW
+            r, tot = rank >> shift, total >> shift
+            stop = max(m - _CHUNK, 0)
+            # After j steps r and tot are off rank and total over
+            # 2**shift by at most 1 + j(j+3)/2 and j + 1, so rem is off
+            # its exact value by less than m*(j+1)(j+4)/2. The margin
+            # bounds that, plus tot's own error, for the whole chunk.
+            margin = m * (_CHUNK + 2) ** 2
+            floor = margin << _GUARD
+        else:  # exact: one step after a miss, or the whole tail
+            shift = margin = floor = 0
+            r, tot = rank, total
+            stop = m - 1 if width > _TAIL else 0
+        certain = True
+        ps, ts = [], []
+        while m > stop and tot > floor:
+            cut, rem = divmod(r * m, tot)
+            if not 0 <= cut < m:  # drifted past either end; clamp
+                cut = 0 if cut < 0 else m - 1
+                rem = r * m - cut * tot
+            # this is the exact cut unless the drift could cross one
+            # of its boundaries; the ends of [0, m) cannot be crossed
+            if (cut and rem < margin) or (cut + 1 < m
+                                          and tot - rem <= margin):
+                certain = False
+                break
+            if run_lo <= cut < run_hi:
+                k = run_k
+                below = run_lo
+                pending += 1
+            else:
+                if pending:
+                    j = run_k + 1
+                    while j <= t:
+                        tree[j] -= pending
+                        j += j & -j
+                    pending = 0
+                # descend to the symbol, taking one from each node on
+                # its way down that covers it
+                k = 0
+                below = cut
+                bit = top
+                while bit:
+                    nxt = k + bit
+                    if nxt <= t:
+                        node = tree[nxt]
+                        if node <= below:
+                            below -= node
+                            k = nxt
+                        else:
+                            tree[nxt] = node - 1
+                    bit >>= 1
+                below = cut - below  # prefix count of ranks < k
+                run_k = k
+                run_lo = below
+                run_hi = below + remaining[k]
+            run_hi -= 1
+            p = remaining[k]
+            remaining[k] = p - 1
+            ps.append(p)
+            ts.append(below)
+            if below:
+                r -= tot * below // m
+            tot = tot * p // m
+            m -= 1
+            out[m] = k
+        if not shift:
+            rank, total = r, tot
+        elif ps:
+            # rank -= total*T/Q and total = total*P/Q, both exact
+            p, q, t_sum = _product_tree(ps, list(range(start, m, -1)), ts)
+            whole, part = divmod(total, q)
+            rank -= whole * t_sum + part * t_sum // q
+            total = whole * p + part * p // q
     assert rank == 0
     return out

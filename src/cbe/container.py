@@ -20,6 +20,7 @@ significant bit first, so byte k contributes arrival positions
 """
 
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ MAGIC = b"CBE1"
 MODE_BYTE = 0x01
 MODE_BIT = 0x02
 DEFAULT_BLOCK_SIZE = 4096
-_RUN_PIECE = 1 << 16  # largest write when streaming a one-symbol block
+_RUN_PIECE = 1 << 16  # largest read or write of a run of bytes
 
 
 class ArchiveError(ValueError):
@@ -73,7 +74,8 @@ class _ByteReader:
         parts = []
         need = size
         while need:
-            chunk = self._fp.read(need)
+            # a hostile length must not size the read buffer
+            chunk = self._fp.read(min(need, _RUN_PIECE))
             if not chunk:
                 raise ArchiveError(f"truncated archive while reading {what}")
             parts.append(chunk)
@@ -291,22 +293,59 @@ def _read_block_table(reader, n, index, max_symbol):
     return counts
 
 
-def _read_block_rank(reader, index, permutations):
-    """Parse one block's payload; returns the validated rank."""
+def _payload_len_bracket(counts):
+    """Bounds on a block's payload length from lgamma, not from P itself.
+
+    The exact arrangement count P takes time superlinear in n, and n is
+    whatever the archive claims, so a length is first checked against
+    log2 P = (lgamma(n+1) - sum lgamma(c+1)) / ln 2, widened by the
+    float error of those terms.
+    """
+    whole = math.lgamma(sum(counts) + 1)
+    parts = math.fsum(math.lgamma(c + 1) for c in counts if c)
+    bits = (whole - parts) / math.log(2)
+    slack = 2 + 1e-12 * (whole + parts)
+    return max(0, math.floor((bits - slack) / 8)), math.ceil((bits + slack) / 8) + 1
+
+
+def _read_block_rank(reader, index, counts):
+    """Parse one block's payload; returns (rank, arrangement count).
+
+    The length is checked against an lgamma bracket and the payload
+    read before the exact count is computed, so a block that claims a
+    huge n with a short or wrong payload fails in time bounded by the
+    archive's size.
+    """
     what = f"block {index}"
-    width = rank_width_bits(permutations)
-    expected_len = (width + 7) // 8
     payload_len = reader.varint(what)
+    low, high = _payload_len_bracket(counts)
+    if not low <= payload_len <= high:
+        raise ArchiveError(
+            f"{what}: payload is {payload_len} bytes, table requires "
+            f"{low} to {high}"
+        )
+    payload = reader.exact(payload_len, what)
+    permutations = multinomial(counts)
+    expected_len = (rank_width_bits(permutations) + 7) // 8
     if payload_len != expected_len:
         raise ArchiveError(
             f"{what}: payload is {payload_len} bytes, table requires {expected_len}"
         )
-    rank = int.from_bytes(reader.exact(payload_len, what), "big")
+    rank = int.from_bytes(payload, "big")
     if rank >= permutations:
         raise ArchiveError(
             f"{what}: rank {rank} out of range ({permutations} arrangements)"
         )
-    return rank
+    return rank, permutations
+
+
+def _write_run(dst, byte, count):
+    """Write `byte` `count` times in pieces of at most `_RUN_PIECE`."""
+    piece = bytes((byte,)) * min(count, _RUN_PIECE)
+    while count > len(piece):
+        dst.write(piece)
+        count -= len(piece)
+    dst.write(piece[:count])
 
 
 def decompress(src, dst):
@@ -327,9 +366,22 @@ def decompress(src, dst):
             break
         index += 1
         counts = _read_block_table(reader, n, index, 255 if mode == MODE_BYTE else 1)
-        permutations = multinomial(counts)
-        rank = _read_block_rank(reader, index, permutations)
-        if mode == MODE_BIT:
+        rank, permutations = _read_block_rank(reader, index, counts)
+        if mode == MODE_BIT and permutations == 1:
+            # n equal bits: top up the pending byte, stream whole bytes,
+            # and carry the rest (the pending byte is empty by then)
+            byte = 0xFF if counts[1] else 0x00
+            fill = min(n, -bit_fill % 8)
+            bit_acc |= (byte >> (8 - fill)) << bit_fill
+            bit_fill += fill
+            n -= fill
+            if bit_fill == 8:
+                dst.write(bytes((bit_acc,)))
+                bit_acc = bit_fill = 0
+            _write_run(dst, byte, n >> 3)
+            bit_fill += n & 7
+            bit_acc |= byte >> (8 - (n & 7))
+        elif mode == MODE_BIT:
             packed = bytearray()
             for bit in decode_binary(rank, counts[0], counts[1]):
                 bit_acc |= bit << bit_fill
@@ -341,11 +393,7 @@ def decompress(src, dst):
             dst.write(bytes(packed))
         elif permutations == 1:
             # one symbol, n times: stream it rather than unrank n arrivals
-            piece = bytes((counts.index(n),)) * min(n, _RUN_PIECE)
-            while n > len(piece):
-                dst.write(piece)
-                n -= len(piece)
-            dst.write(piece[:n])
+            _write_run(dst, counts.index(n), n)
         else:
             dst.write(bytes(_unrank_counts(rank, counts, permutations)))
     if mode == MODE_BIT and bit_fill:

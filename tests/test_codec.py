@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbe.codec import (
+    _TAIL,
     RankRangeError,
     arrivals_from_numeral,
     decode,
@@ -15,6 +17,7 @@ from cbe.codec import (
     numeral_from_arrivals,
 )
 from cbe.multiset import (
+    BYTE_ALPHABET,
     Alphabet,
     FrequencyTable,
     UnknownSymbolError,
@@ -157,8 +160,6 @@ class TestDecode:
 
 class TestBinaryBijectivity:
     def test_exhaustive_up_to_length_12(self):
-        import math
-
         for n in range(13):
             ranks_by_counts = {}
             for value in range(1 << n):
@@ -317,3 +318,92 @@ class TestRoundtripProperty:
         rank, table = encode(msg, alpha)
         assert rank < permutation_count(table)
         assert decode(rank, table) == msg
+
+
+def _unrank_block(kind, seed, size=4096):
+    """4 KiB blocks whose ranks the chunked unranker must walk."""
+    rng = random.Random(seed)
+    if kind == "random":
+        return rng.randbytes(size)
+    if kind == "text":
+        words = [b"the", b"codec", b"counts", b"every", b"letter", b"so",
+                 b"far", b"while", b"it", b"ranks", b"a", b"block."]
+        out = b""
+        while len(out) < size:
+            out += rng.choice(words) + b" "
+        return out[:size]
+    if kind == "skewed":
+        return bytes(rng.choices(range(8), weights=(40, 20, 10, 8, 8, 6, 4, 4),
+                                 k=size))
+    if kind == "sparse":
+        block = bytearray(size)
+        for i in rng.sample(range(size), size // 32):
+            block[i] = rng.randrange(1, 256)
+        return bytes(block)
+    data = rng.randbytes(size)
+    if kind == "sorted":
+        return bytes(sorted(data))
+    if kind == "reverse-sorted":
+        return bytes(sorted(data, reverse=True))
+    assert kind == "sorted-first-half"
+    return bytes(sorted(data[:size // 2])) + data[size // 2:]
+
+
+def _assert_unranks(rank, table):
+    """decode(rank) is a message that encode ranks back to `rank`."""
+    msg = decode(rank, table)
+    assert encode(msg, table.alphabet) == (rank, table)
+
+
+def _first_cut_boundaries(table, most=None):
+    """Ranks total*below/m where the top position's symbol changes, for
+    at most `most` of them spread over the symbols present."""
+    permutations = permutation_count(table)
+    belows = list(itertools.accumulate(c for c in table.counts if c))[:-1]
+    step = 1 if most is None else -(-len(belows) // most)
+    return [permutations * below // table.n for below in belows[::step]]
+
+
+class TestChunkedUnrank:
+    """decode reads each symbol off the leading bits of rank and total
+    and certifies it before folding it into the exact numbers; encode is
+    the independent check of every rank it walks."""
+
+    KINDS = ("random", "text", "skewed", "sparse", "sorted",
+             "reverse-sorted", "sorted-first-half")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_block_and_end_ranks(self, kind):
+        data = _unrank_block(kind, seed=len(kind))
+        rank, table = encode(data, BYTE_ALPHABET)
+        assert bytes(decode(rank, table)) == data
+        permutations = permutation_count(table)
+        for end in (0, 1, permutations - 2, permutations - 1):
+            _assert_unranks(end, table)
+
+    @pytest.mark.parametrize("kind", ["random", "text", "skewed"])
+    def test_first_decision_boundaries(self, kind):
+        # an exact boundary puts rank*m on a multiple of total, where a
+        # decision from truncated numbers could fall either way
+        _, table = encode(_unrank_block(kind, seed=7), BYTE_ALPHABET)
+        for boundary in _first_cut_boundaries(table, most=12):
+            for rank in (boundary - 1, boundary, boundary + 1):
+                _assert_unranks(rank, table)
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_sizes_around_exact_tail(self, t):
+        # log2 P runs from below the tail threshold to well above it
+        rng = random.Random(t)
+        alpha = Alphabet(tuple(range(t)))
+        widths = []
+        for width in range(_TAIL - 400, 2 * _TAIL, 97):
+            n = round(width / math.log2(t))
+            msg = [rng.randrange(t) for _ in range(n)]
+            rank, table = encode(msg, alpha)
+            permutations = permutation_count(table)
+            widths.append(permutations.bit_length())
+            assert decode(rank, table) == msg
+            for other in {0, 1, permutations - 2, permutations - 1,
+                          *_first_cut_boundaries(table)}:
+                _assert_unranks(other, table)
+        assert min(widths) < _TAIL < max(widths)

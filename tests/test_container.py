@@ -1,8 +1,10 @@
 import hashlib
 import io
+import math
 import random
 import sys
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -304,7 +306,8 @@ class _CountingSink:
 
 
 class TestOneSymbolBlocks:
-    """A block of one repeated byte is written out without unranking."""
+    """A block of one repeated byte or bit is written out without
+    unranking."""
 
     def test_huge_block_streams_in_bounded_memory(self):
         n = 2 ** 24
@@ -320,6 +323,32 @@ class TestOneSymbolBlocks:
         assert peak < 1 << 20
         assert sink.size == n
         assert sink.values == {0x41}
+
+    def test_huge_bit_block_streams_in_bounded_memory(self):
+        n = 2 ** 24
+        archive = (b"CBE1\x02" + write_varint(n) + write_varint(1) + b"\x01"
+                   + write_varint(n) + write_varint(0) + write_varint(0))
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            decompress(io.BytesIO(archive), sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert sink.size == n // 8
+        assert sink.values == {0xFF}
+
+    @pytest.mark.parametrize("block_size", [511, 513])
+    def test_bit_blocks_off_byte_boundaries(self, block_size):
+        # each run of 0x00 or 0xFF spans whole one-symbol blocks, which
+        # start and end mid-byte between blocks of mixed bits
+        rng = random.Random(block_size)
+        data = b"".join(rng.randbytes(rng.randrange(1, 90))
+                        + bytes((rng.choice((0x00, 0xFF)),)) * rng.randrange(140, 400)
+                        for _ in range(6))
+        archive = compress_bytes(data, block_size=block_size, mode=MODE_BIT)
+        assert decompress_bytes(archive) == data
 
     @pytest.mark.parametrize("size", [1, 4095, 4096, 4097])
     def test_constant_roundtrip(self, size):
@@ -381,6 +410,36 @@ class TestStreamHandling:
         out = io.BytesIO()
         decompress(_DribbleReader(whole), out)
         assert out.getvalue() == data
+
+
+def _two_symbol_archive(n, payload_len, payload):
+    """Byte-mode archive of one block of n/2 zeros and n/2 ones."""
+    half = write_varint(n // 2)
+    return (b"CBE1\x01" + write_varint(n) + write_varint(2) + b"\x00" + half
+            + b"\x01" + half + write_varint(payload_len) + payload)
+
+
+class TestHostileArchives:
+    """A block claiming n = 10**6 is refused before the exact count, whose
+    computation alone takes seconds."""
+
+    N = 10 ** 6
+
+    def _rejects_quickly(self, archive, match):
+        start = time.perf_counter()
+        with pytest.raises(ArchiveError, match=match):
+            decompress_bytes(archive)
+        assert time.perf_counter() - start < 1.0
+
+    def test_wrong_payload_length(self):
+        self._rejects_quickly(_two_symbol_archive(self.N, 3, b"abc"), "payload")
+
+    def test_truncated_payload(self):
+        half = self.N // 2
+        bits = (math.lgamma(self.N + 1) - 2 * math.lgamma(half + 1)) / math.log(2)
+        payload_len = math.ceil(math.ceil(bits) / 8)
+        archive = _two_symbol_archive(self.N, payload_len, bytes(1000))
+        self._rejects_quickly(archive, "truncated")
 
 
 class TestCorruptionHandling:
