@@ -43,6 +43,12 @@ def corpora(size, seed, block_bytes):
         bytes(sorted(shuffled[i:i + block_bytes]))
         for i in range(0, size, block_bytes)
     )
+    # independent bits with p(1) = 0.1 and 0.9: long runs of zeros, then
+    # of ones; each byte value is drawn with its eight bits' probability
+    for p in (0.1, 0.9):
+        weights = [p ** v.bit_count() * (1 - p) ** (8 - v.bit_count())
+                   for v in range(256)]
+        yield f"bits-{p}", bytes(rng.choices(range(256), weights=weights, k=size))
 
 
 def run(name, data, block_size, mode):

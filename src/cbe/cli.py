@@ -7,6 +7,7 @@ and results go to stdout, so pipelines stay clean.
 """
 
 import argparse
+import functools
 import sys
 from contextlib import contextmanager
 
@@ -85,8 +86,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Built on first use and shared by every later `main` call: parsing
+# leaves the parser unchanged, and each call gets a fresh namespace.
+_shared_parser = functools.cache(build_parser)
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if "block_size" in args and args.block_size < 1:
         parser.error("block size must be at least 1")

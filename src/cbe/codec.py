@@ -28,14 +28,20 @@ arrangement count alone, accepts each only once a bound on how far
 those bits can have drifted proves it, and folds every chunk of
 decisions back into the exact numbers with the same product tree.
 
-`encode`/`decode` handle any alphabet. Bit mode uses `encode_binary`/
-`decode_binary`, the two-symbol case of the same ranking (Cover's
-enumerative code): they produce the same ranks, but roll a single
-binomial coefficient forward, which is faster on bit blocks than the
-general kernel.
+`encode`/`decode` handle any alphabet. Bit mode has its own ranker and
+unranker for the two-symbol case of the same ranking (Cover's
+enumerative code), with the same ranks. `_rank_bit_string` finds the
+block's runs with one regular expression and rolls a single binomial
+coefficient across each run in one exact step: the ones of a run
+telescope to the coefficient after it minus the coefficient before it,
+and the final coefficient is the block's arrangement count.
+`_unrank_bits` walks the positions down, one exact step per bit, and
+returns the block as one int. `encode_binary`/`decode_binary` wrap
+them for bit lists.
 """
 
 import math
+import re
 from itertools import groupby
 
 from .binomials import mpz, multinomial
@@ -54,6 +60,11 @@ _CHUNK = 512
 _WINDOW = 768
 _GUARD = 32
 _TAIL = 2 * _WINDOW
+
+# `_rank_bit_string` matches a zero run, maybe empty, and the one run
+# after it at a time; `encode_binary` spells bits out with `_BIT_CHARS`.
+_RUNS = re.compile("(0*)(1+)")
+_BIT_CHARS = {0: "0", 1: "1"}
 
 
 class RankRangeError(ValueError):
@@ -78,37 +89,66 @@ def numeral_from_arrivals(bits) -> str:
 def encode_binary(bits):
     """Rank a 0/1 arrival sequence among arrangements of its bit counts.
 
-    Returns (rank, zeros, ones). Every ONE at arrival position i adds
-    C(i, j), where j counts ones through position i inclusive; zeros
-    add nothing. The single coefficient needed next is rolled forward
-    with one exact multiply and divide per bit, so memory stays flat
-    and nothing is shared between calls.
+    Returns (rank, zeros, ones): Cover's enumerative rank, the sum of
+    C(p, j) over the positions p of the ones, j counting ones through p
+    inclusive. Any iterable of 0/1 values is accepted; anything else
+    raises ValueError naming the first bad position. The bits are
+    spelled out as a '0'/'1' string and ranked a run at a time by
+    `_rank_bit_string`.
     """
-    # coeff tracks C(i, ones-before-i); both updates divide exactly.
+    bits = list(bits)
+    try:
+        s = "".join(map(_BIT_CHARS.__getitem__, bits))
+    except (KeyError, TypeError):
+        for i, b in enumerate(bits):
+            if b not in (0, 1):
+                raise ValueError(
+                    f"bit at position {i} is {b!r}, expected 0 or 1"
+                ) from None
+        raise
+    rank, ones, _ = _rank_bit_string(s)
+    return rank, len(s) - ones, ones
+
+
+def _rank_bit_string(s):
+    """Rank a '0'/'1' string of arrivals; returns (rank, ones, P).
+
+    P = C(n, ones) is the block's arrangement count. One coefficient,
+    coeff = C(i, ones) at arrival i, is rolled across a whole run
+    [i, e) of length r in one exact step: a zero run multiplies it by
+    perm(e, r) / perm(e - ones, r), a one run by
+    perm(e, r) / perm(ones + r, r). The r ones of a run add
+    C(i + b, ones + b + 1) for b < r, which telescopes to the new
+    coefficient minus the old, so a run costs one multiply and one
+    divide however long it is. Runs are matched a zero run and the
+    following one run at a time, which halves the loop's trips.
+    """
     rank = mpz(0)
     coeff = mpz(1)
     ones = 0
     i = 0
-    for b in bits:
-        if b == 1:
-            rank += coeff * (i - ones) // (ones + 1)  # C(i, ones+1)
-            ones += 1
-            coeff = coeff * (i + 1) // ones
-        elif b == 0:
-            coeff = coeff * (i + 1) // (i + 1 - ones)
-        else:
-            raise ValueError(f"bit at position {i} is {b!r}, expected 0 or 1")
-        i += 1
-    return int(rank), i - ones, ones
+    for zero_run, one_run in _RUNS.findall(s):
+        r = len(zero_run)
+        if r:
+            i += r
+            if ones:  # C(i, 0) == 1 until the first one
+                coeff = coeff * math.perm(i, r) // math.perm(i - ones, r)
+        r = len(one_run)
+        i += r
+        new = coeff * math.perm(i, r) // math.perm(ones + r, r)
+        rank += new - coeff
+        coeff = new
+        ones += r
+    n = len(s)
+    if ones and n > i:  # trailing zeros
+        coeff = coeff * math.perm(n, n - i) // math.perm(n - ones, n - i)
+    return int(rank), ones, int(coeff)
 
 
 def decode_binary(rank, zeros: int, ones: int):
-    """Rebuild the arrival sequence for (rank, zeros, ones).
+    """Rebuild the arrival sequence for (rank, zeros, ones) as a list.
 
-    Walks positions from most significant down: with the position index
-    equal to the number of remaining lower positions, a ONE is placed
-    whenever the rank covers every arrangement that would put a ZERO
-    there. Raises RankRangeError unless 0 <= rank < C(zeros+ones, ones).
+    Raises RankRangeError unless 0 <= rank < C(zeros+ones, ones).
     """
     if zeros < 0 or ones < 0:
         raise ValueError("bit counts must be nonnegative")
@@ -119,23 +159,37 @@ def decode_binary(rank, zeros: int, ones: int):
             f"rank {rank} out of range for {zeros} zeros and {ones} ones "
             f"({total} arrangements)"
         )
+    word = _unrank_bits(rank, zeros, ones)
+    return list(map(int, bin(word | 1 << n)[:2:-1]))  # n digits, LSB first
+
+
+def _unrank_bits(rank, zeros, ones):
+    """The block for (rank, zeros, ones) as an int, bit i = arrival i.
+
+    Caller guarantees 0 <= rank < C(zeros+ones, ones). Walks positions
+    from most significant down: with the position index equal to the
+    number of remaining lower positions, a ONE is placed whenever the
+    rank covers every arrangement that would put a ZERO there. The
+    ones are marked in a numeral that is read back as one int.
+    """
+    n = zeros + ones
     if n == 0:
-        return []
+        return 0
     # threshold tracks C(pos, ones); stays 0 while only ones remain.
     rank = mpz(rank)
     threshold = mpz(math.comb(n - 1, ones))
-    out = [0] * n
+    digits = bytearray(b"0") * n  # arrival order; reversed at the end
     for pos in range(n - 1, -1, -1):
         if rank >= threshold:
             rank -= threshold
-            out[pos] = 1
+            digits[pos] = 0x31
             if pos:
                 threshold = threshold * ones // pos
             ones -= 1
         elif pos:
             threshold = threshold * (pos - ones) // pos
     assert rank == 0 and ones == 0
-    return out
+    return int(digits[::-1], 2)
 
 
 def encode(message, alphabet: Alphabet):

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .binomials import multinomial
-from .codec import _unrank_counts, encode, encode_binary, decode_binary
+from .codec import _rank_bit_string, _unrank_bits, _unrank_counts, encode
 from .multiset import BYTE_ALPHABET, rank_width_bits
 
 MAGIC = b"CBE1"
@@ -127,13 +127,14 @@ def _read_full(src, size: int) -> bytes:
     return b"".join(parts)
 
 
-def _frame(n, entries):
+def _frame(n, entries, permutations):
     """One block's header bytes and rank width in bits.
 
     The single place that lays out a block's framing: `compress` writes
     this header ahead of the rank, `summarize` only measures it.
+    `permutations` is the block's arrangement count P.
     """
-    width = rank_width_bits(multinomial([count for _, count in entries]))
+    width = rank_width_bits(permutations)
     parts = [write_varint(n), write_varint(len(entries))]
     for symbol, count in entries:
         parts.append(bytes((symbol,)))
@@ -168,29 +169,29 @@ def _check_coding(block_size, mode):
         raise ValueError(f"unknown mode {mode!r}")
 
 
-_BIT_TUPLES = tuple(
-    tuple((value >> s) & 1 for s in range(8)) for value in range(256)
-)
+def _bit_strings(src, block_size):
+    """Arrival-order '0'/'1' strings of at most block_size bits.
 
-
-def _iter_bit_blocks(src, block_size):
-    """Arrival-order bit blocks of at most block_size bits."""
-    pending = []
+    Each read chunk is spelled out LSB first by one `format` of its
+    little-endian int; the bits past the last whole block carry over.
+    """
+    pending = ""
     while True:
         chunk = _read_full(src, max(4096, (block_size + 7) // 8))
         if not chunk:
             break
-        for byte in chunk:
-            pending.extend(_BIT_TUPLES[byte])
-        while len(pending) >= block_size:
-            yield pending[:block_size]
-            pending = pending[block_size:]
+        digits = format(int.from_bytes(chunk, "little"), f"0{8 * len(chunk)}b")
+        bits = pending + digits[::-1]
+        whole = len(bits) - len(bits) % block_size
+        for start in range(0, whole, block_size):
+            yield bits[start:start + block_size]
+        pending = bits[whole:]
     if pending:
         yield pending
 
 
 def _ranked_blocks(src, block_size, mode):
-    """(n, entries, rank) for each block of `src`, each ranked in one pass."""
+    """(n, entries, rank, P) for each block of `src`, each ranked in one pass."""
     index = 0
     if mode == MODE_BYTE:
         while True:
@@ -201,14 +202,15 @@ def _ranked_blocks(src, block_size, mode):
             if not chunk:
                 return
             rank, table = encode(chunk, BYTE_ALPHABET)
-            yield len(chunk), table.nonzero_items(), rank
+            yield len(chunk), table.nonzero_items(), rank, multinomial(table.counts)
             index += 1
     else:
         try:
-            for bits in _iter_bit_blocks(src, block_size):
-                rank, zeros, ones = encode_binary(bits)
-                entries = [(s, c) for s, c in ((0, zeros), (1, ones)) if c]
-                yield len(bits), entries, rank
+            for bits in _bit_strings(src, block_size):
+                n = len(bits)
+                rank, ones, permutations = _rank_bit_string(bits)
+                entries = [(s, c) for s, c in ((0, n - ones), (1, ones)) if c]
+                yield n, entries, rank, permutations
                 index += 1
         except OSError as exc:
             raise OSError(f"reading block {index}: {exc}") from exc
@@ -225,8 +227,8 @@ def compress(src, dst, *, block_size: int = DEFAULT_BLOCK_SIZE, mode: int = MODE
     dst.write(bytes((mode,)))
 
     def frames():
-        for n, entries, rank in _ranked_blocks(src, block_size, mode):
-            header, width = _frame(n, entries)
+        for n, entries, rank, permutations in _ranked_blocks(src, block_size, mode):
+            header, width = _frame(n, entries, permutations)
             dst.write(header + rank.to_bytes((width + 7) // 8, "big"))
             yield n, header, width
 
@@ -261,7 +263,8 @@ def summarize(data: bytes, *, block_size: int = DEFAULT_BLOCK_SIZE,
 
     def frames():
         for n, entries in _tallied_blocks(data, block_size, mode):
-            header, width = _frame(n, entries)
+            counts = [count for _, count in entries]
+            header, width = _frame(n, entries, multinomial(counts))
             yield n, header, width
 
     return _summary(frames())
@@ -382,15 +385,12 @@ def decompress(src, dst):
             bit_fill += n & 7
             bit_acc |= byte >> (8 - (n & 7))
         elif mode == MODE_BIT:
-            packed = bytearray()
-            for bit in decode_binary(rank, counts[0], counts[1]):
-                bit_acc |= bit << bit_fill
-                bit_fill += 1
-                if bit_fill == 8:
-                    packed.append(bit_acc)
-                    bit_acc = 0
-                    bit_fill = 0
-            dst.write(bytes(packed))
+            # the block goes above the pending bits; whole bytes go out
+            bit_acc |= _unrank_bits(rank, counts[0], counts[1]) << bit_fill
+            whole, bit_fill = (bit_fill + n) >> 3, (bit_fill + n) & 7
+            packed = bit_acc.to_bytes(whole + 1, "little")
+            dst.write(packed[:whole])
+            bit_acc = packed[whole]
         elif permutations == 1:
             # one symbol, n times: stream it rather than unrank n arrivals
             _write_run(dst, counts.index(n), n)

@@ -2,6 +2,7 @@
 used to size and judge encoded ranks."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .binomials import multinomial
@@ -103,14 +104,22 @@ class FrequencyTable:
 
 
 def build_frequency_table(message, alphabet: Alphabet) -> FrequencyTable:
-    """Tally a message over `alphabet`, rejecting foreign symbols."""
+    """Tally a message over `alphabet`, rejecting foreign symbols.
+
+    The message is counted by `Counter`; only when a symbol is foreign
+    is it scanned again, to report the first one and its position.
+    """
+    if iter(message) is message:  # a one-pass iterator
+        message = list(message)
     counts = [0] * len(alphabet)
     ranks = alphabet.rank_map
-    for position, symbol in enumerate(message):
+    for symbol, count in Counter(message).items():
         rank = ranks.get(symbol)
         if rank is None:
-            raise UnknownSymbolError(symbol, position)
-        counts[rank] += 1
+            for position, symbol in enumerate(message):
+                if symbol not in ranks:
+                    raise UnknownSymbolError(symbol, position)
+        counts[rank] = count
     return FrequencyTable(alphabet, tuple(counts))
 
 

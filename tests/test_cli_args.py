@@ -67,3 +67,23 @@ class TestBitModeStats:
         assert float(fields["rank_bound_bits"]) == pytest.approx(
             math.log2(math.comb(zeros + ones, ones)), abs=1e-3
         )
+
+
+class TestSharedParser:
+    """`main` reuses one parser; no option leaks from one call to the next."""
+
+    def test_bit_mode_then_default_mode(self, tmp_path, capsys):
+        src = tmp_path / "data"
+        src.write_bytes(bytes(random.Random(9).randbytes(100)))
+        assert stats_fields(capsys, str(src), "--mode", "bit")["n"] == "800"
+        fields = stats_fields(capsys, str(src))
+        assert fields["n"] == "100"
+        assert int(fields["t_effective"]) > 2  # byte symbols, not bits
+
+    def test_block_size_does_not_stick(self, tmp_path, capsys):
+        src = tmp_path / "data"
+        src.write_bytes(b"abc" * 100)
+        small = stats_fields(capsys, str(src), "-b", "7")
+        default = stats_fields(capsys, str(src))
+        assert int(small["header_bytes"]) > int(default["header_bytes"])
+        assert parse_args(["stats", str(src)]).block_size == DEFAULT_BLOCK_SIZE

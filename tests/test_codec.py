@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from cbe.codec import (
     _TAIL,
+    _rank_bit_string,
+    _unrank_bits,
     RankRangeError,
     arrivals_from_numeral,
     decode,
@@ -226,6 +228,42 @@ class TestBinaryPaths:
         rank, table = encode(bits, Alphabet((0, 1)))
         assert encode_binary(bits) == (rank, *table.counts)
         assert decode_binary(rank, *table.counts) == decode(rank, table) == bits
+
+
+class TestBitRunKernel:
+    """The run kernel ranks like the general `encode` over {0, 1}, its P
+    is C(n, ones), and `_unrank_bits` gives the block back as an int."""
+
+    @staticmethod
+    def check(bits):
+        s = "".join(map(str, bits))
+        rank, ones, permutations = _rank_bit_string(s)
+        want, table = encode(bits, Alphabet((0, 1)))
+        assert (rank, len(bits) - ones, ones) == (want, *table.counts)
+        assert permutations == math.comb(len(bits), ones)
+        assert _unrank_bits(rank, len(bits) - ones, ones) == int("0" + s[::-1], 2)
+
+    @pytest.mark.parametrize("bits", [
+        [0], [1], [0] * 4096, [1] * 4096,
+        [0] * 700 + [1] * 300, [1] * 300 + [0] * 700,
+        [0, 1] * 500, [1, 0] * 500,
+        [1] + [0] * 999, [0] * 999 + [1],
+        [0] * 3 + [1] * 5 + [0] * 2 + [1] * 1 + [0] * 1 + [1] * 7,
+    ], ids=["zero", "one", "all-zero", "all-one", "zeros-then-ones",
+            "ones-then-zeros", "alternating-01", "alternating-10",
+            "first-one", "last-one", "mixed-runs"])
+    def test_shapes(self, bits):
+        self.check(bits)
+
+    @pytest.mark.parametrize("n", [1, 127, 4096, 32768])
+    @pytest.mark.parametrize("p", [0.02, 0.1, 0.5, 0.9])
+    def test_biased(self, n, p):
+        rng = random.Random(n + int(100 * p))
+        self.check([int(rng.random() < p) for _ in range(n)])
+
+    def test_empty(self):
+        assert _rank_bit_string("") == (0, 0, 1)
+        assert _unrank_bits(0, 0, 0) == 0
 
 
 def literal_weight(counts, rank):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbe.codec import encode
 from cbe.container import (
     ArchiveError,
     MODE_BIT,
@@ -23,6 +24,7 @@ from cbe.container import (
     summarize,
     write_varint,
 )
+from cbe.multiset import BIT_ALPHABET
 
 BANANA_ARCHIVE = bytes.fromhex("43424531010603610362016e02011600")
 
@@ -247,6 +249,53 @@ class TestGoldenArchives:
         data = _golden_input(kind, size, 7000 + index)
         archive = compress_bytes(data, block_size=block_size, mode=mode)
         assert hashlib.sha256(archive).hexdigest() == digest
+        assert decompress_bytes(archive) == data
+
+
+def _reference_bit_archive(data, block_size):
+    """The bit-mode archive spelled out block by block with the general
+    `encode`, independent of how `compress` reads and splits its input."""
+    bits = [(byte >> s) & 1 for byte in data for s in range(8)]
+    parts = [b"CBE1\x02"]
+    for start in range(0, len(bits), block_size):
+        block = bits[start:start + block_size]
+        rank, table = encode(block, BIT_ALPHABET)
+        width = (math.comb(len(block), table.counts[1]) - 1).bit_length()
+        parts.append(write_varint(len(block)))
+        parts.append(write_varint(table.t_effective))
+        for symbol, count in table.nonzero_items():
+            parts.append(bytes((symbol,)) + write_varint(count))
+        parts.append(write_varint((width + 7) // 8))
+        parts.append(rank.to_bytes((width + 7) // 8, "big"))
+    parts.append(write_varint(0))
+    return b"".join(parts)
+
+
+class TestBitBlocksAcrossChunks:
+    """Bit blocks that straddle the 4096-byte read chunk carry their
+    leftover bits into the next chunk, in both directions."""
+
+    @staticmethod
+    def make(kind, size, seed):
+        rng = random.Random(seed)
+        if kind == "random":
+            return rng.randbytes(size)
+        if kind == "biased":  # independent bits, p(1) = 0.1
+            return bytes(sum((rng.random() < 0.1) << s for s in range(8))
+                         for _ in range(size))
+        # runs of 0x00/0xFF across chunk ends, between random stretches
+        out = b""
+        while len(out) < size:
+            out += rng.randbytes(rng.randrange(1, 300))
+            out += bytes((rng.choice((0x00, 0xFF)),)) * rng.randrange(300, 3000)
+        return out[:size]
+
+    @pytest.mark.parametrize("block_size", [4095, 4097, 33000])
+    @pytest.mark.parametrize("kind", ["random", "biased", "runs"])
+    def test_matches_reference_and_roundtrips(self, kind, block_size):
+        data = self.make(kind, 10_000, block_size)
+        archive = compress_bytes(data, block_size=block_size, mode=MODE_BIT)
+        assert archive == _reference_bit_archive(data, block_size)
         assert decompress_bytes(archive) == data
 
 

@@ -76,6 +76,20 @@ class TestFrequencyTable:
         assert err.value.symbol == 99
         assert err.value.position == 2
 
+    def test_first_foreign_symbol_is_reported(self):
+        # two foreign symbols, 99 twice: the first by position is named
+        message = [97, 99, 98, 7, 99]
+        for source in (message, iter(message), bytes(message)):
+            with pytest.raises(UnknownSymbolError) as err:
+                build_frequency_table(source, Alphabet((97, 98)))
+            assert (err.value.symbol, err.value.position) == (99, 1)
+
+    def test_iterator_and_bytes_tally(self):
+        alphabet = Alphabet((97, 98, 110))
+        want = build_frequency_table([ord(c) for c in "banana"], alphabet)
+        assert build_frequency_table(iter(b"banana"), alphabet) == want
+        assert build_frequency_table(b"banana", alphabet) == want
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FrequencyTable(Alphabet((1, 2)), (1,))
