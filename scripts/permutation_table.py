@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from cbe.codec import encode
-from cbe.multiset import Alphabet, payload_bit_length
+from cbe.multiset import Alphabet, permutation_count, rank_width_bits
 from cbe.oracle import EnumerationCapError, enumerate_in_rank_order
 
 
@@ -28,7 +28,7 @@ def main():
         return 0
     alphabet = Alphabet(tuple(set(symbols)))
     _, table = encode(symbols, alphabet)
-    width = payload_bit_length(table)
+    width = rank_width_bits(permutation_count(table))
     try:
         rows = enumerate_in_rank_order(table, cap=args.cap)
     except EnumerationCapError as exc:

@@ -6,7 +6,6 @@ rank. The rank always fits below the message's total entropy, and the
 mapping is exact integer arithmetic end to end.
 """
 
-from .binomials import multinomial
 from .codec import (
     RankRangeError,
     arrivals_from_numeral,
@@ -26,8 +25,6 @@ from .container import (
     compress_bytes,
     decompress,
     decompress_bytes,
-    read_varint,
-    write_varint,
 )
 from .multiset import (
     Alphabet,
@@ -38,16 +35,12 @@ from .multiset import (
     UnknownSymbolError,
     build_frequency_table,
     compression_ratio,
-    entropy_bound_margin,
     message_stats,
     naive_bit_length,
-    payload_bit_length,
     permutation_count,
     shannon_entropy,
-    shannon_pattern_count_log2,
     space_saving_percent,
 )
-from .oracle import EnumerationCapError, brute_rank, enumerate_in_rank_order
 
 __version__ = "0.1.0"
 
@@ -58,7 +51,6 @@ __all__ = [
     "BIT_ALPHABET",
     "BYTE_ALPHABET",
     "DEFAULT_BLOCK_SIZE",
-    "EnumerationCapError",
     "FrequencyTable",
     "MessageStats",
     "MODE_BIT",
@@ -66,7 +58,6 @@ __all__ = [
     "RankRangeError",
     "UnknownSymbolError",
     "arrivals_from_numeral",
-    "brute_rank",
     "build_frequency_table",
     "compress",
     "compress_bytes",
@@ -77,17 +68,10 @@ __all__ = [
     "decompress_bytes",
     "encode",
     "encode_binary",
-    "entropy_bound_margin",
-    "enumerate_in_rank_order",
     "message_stats",
-    "multinomial",
     "naive_bit_length",
     "numeral_from_arrivals",
-    "payload_bit_length",
     "permutation_count",
-    "read_varint",
     "shannon_entropy",
-    "shannon_pattern_count_log2",
     "space_saving_percent",
-    "write_varint",
 ]

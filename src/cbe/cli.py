@@ -21,7 +21,6 @@ from .multiset import (
     BIT_ALPHABET,
     BYTE_ALPHABET,
     message_stats,
-    permutation_count,
 )
 
 EXIT_OK = 0
@@ -198,11 +197,6 @@ def run_unrank(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"cbe: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.index >= permutation_count(table):
-        raise RankRangeError(
-            f"rank {args.index} out of range for table with "
-            f"{permutation_count(table)} arrangements"
-        )
     print("".join(chr(s) for s in decode(args.index, table)))
     return EXIT_OK
 

@@ -19,7 +19,8 @@ during the pass are exactly the side information the decoder requires.
 `encode` tallies the message run by run, turns the runs into terms of
 one rational series, and sums every few hundred terms at once with a
 product tree (binary splitting, after Haible and Papanikolaou), folding
-each partial sum into the rank with exact divisions.
+each partial sum into the rank with exact divisions; the last fold
+also yields the block's arrangement count.
 
 `decode` walks back from the top position down. Each of its steps is
 the interval-narrowing step of arithmetic decoding (Witten, Neal and
@@ -199,6 +200,13 @@ def encode(message, alphabet: Alphabet):
     stream with no lookahead. Returns (rank, table) where the frequency
     table was tallied during the pass and is the side information
     `decode` needs back.
+    """
+    rank, counts, _ = _rank_message(message, alphabet)
+    return rank, FrequencyTable(alphabet, tuple(counts))
+
+
+def _rank_message(message, alphabet):
+    """`encode`'s kernel; returns (rank, counts per symbol rank, P).
 
     Arrival i adds M_i * b_i / s_i to the rank, where M_i counts the
     arrangements of the first i arrivals, b_i of those rank below the
@@ -209,7 +217,8 @@ def encode(message, alphabet: Alphabet):
     run that only extends an all-equal prefix adds nothing. Every
     `_CHUNK` arrivals a product tree reduces the pending leaves and they
     are folded into the rank with exact divisions, which keeps the
-    numbers near the size of the rank itself.
+    numbers near the size of the rank itself. The last fold carries M
+    to M_n, the block's arrangement count P.
     """
     ranks = alphabet.rank_map
     counts = [0] * len(alphabet)
@@ -253,9 +262,10 @@ def encode(message, alphabet: Alphabet):
                 ps, qs, ts = [], [], []
             fold_at = i + _CHUNK
     if ps:
-        _, q, t = _product_tree(ps, qs, ts)
+        p, q, t = _product_tree(ps, qs, ts)
         rank += prefix * t // q
-    return int(rank), FrequencyTable(alphabet, tuple(counts))
+        prefix = prefix * p // q
+    return int(rank), counts, int(prefix)
 
 
 def _product_tree(ps, qs, ts):

@@ -25,8 +25,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .binomials import multinomial
-from .codec import _rank_bit_string, _unrank_bits, _unrank_counts, encode
-from .multiset import BYTE_ALPHABET, rank_width_bits
+from .codec import _rank_bit_string, _rank_message, _unrank_bits, _unrank_counts
+from .multiset import BYTE_ALPHABET, log2_arrangements, rank_width_bits
 
 MAGIC = b"CBE1"
 MODE_BYTE = 0x01
@@ -50,17 +50,6 @@ def write_varint(value: int) -> bytes:
         out.append(group | (0x80 if value else 0))
         if not value:
             return bytes(out)
-
-
-def read_varint(data: bytes, offset: int = 0):
-    """Decode a varint from `data` at `offset`; returns (value, end offset).
-
-    Rejects truncated input and non-canonical encodings (a redundant
-    zero final group).
-    """
-    reader = _ByteReader(io.BytesIO(data[offset:]))
-    value = reader.varint("varint")
-    return value, offset + reader.consumed
 
 
 class _ByteReader:
@@ -201,8 +190,10 @@ def _ranked_blocks(src, block_size, mode):
                 raise OSError(f"reading block {index}: {exc}") from exc
             if not chunk:
                 return
-            rank, table = encode(chunk, BYTE_ALPHABET)
-            yield len(chunk), table.nonzero_items(), rank, multinomial(table.counts)
+            rank, counts, permutations = _rank_message(chunk, BYTE_ALPHABET)
+            # a byte is its own rank in BYTE_ALPHABET
+            entries = [(s, c) for s, c in enumerate(counts) if c]
+            yield len(chunk), entries, rank, permutations
             index += 1
     else:
         try:
@@ -301,13 +292,10 @@ def _payload_len_bracket(counts):
 
     The exact arrangement count P takes time superlinear in n, and n is
     whatever the archive claims, so a length is first checked against
-    log2 P = (lgamma(n+1) - sum lgamma(c+1)) / ln 2, widened by the
-    float error of those terms.
+    `log2_arrangements`, widened well past its float error.
     """
-    whole = math.lgamma(sum(counts) + 1)
-    parts = math.fsum(math.lgamma(c + 1) for c in counts if c)
-    bits = (whole - parts) / math.log(2)
-    slack = 2 + 1e-12 * (whole + parts)
+    bits = log2_arrangements(counts)
+    slack = 2 + 2e-12 * math.lgamma(sum(counts) + 1)
     return max(0, math.floor((bits - slack) / 8)), math.ceil((bits + slack) / 8) + 1
 
 

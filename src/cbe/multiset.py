@@ -144,16 +144,24 @@ def permutation_count(table: FrequencyTable) -> int:
     return multinomial(table.counts)
 
 
+def log2_arrangements(counts) -> float:
+    """log2 of the multinomial count of `counts`, from lgamma.
+
+    (lgamma(n+1) - sum lgamma(c+1)) / ln 2 takes time linear in the
+    number of counts, whatever their size, where the exact count grows
+    superlinearly in n. The float error is a small multiple of
+    1e-16 * lgamma(n+1); a one-symbol or empty table gives exactly 0.0.
+    """
+    whole = math.lgamma(sum(counts) + 1)
+    parts = math.fsum(math.lgamma(c + 1) for c in counts if c)
+    return (whole - parts) / math.log(2)
+
+
 def rank_width_bits(permutations: int) -> int:
     """Bits needed to address any rank in [0, permutations)."""
     if permutations < 1:
         raise ValueError("permutation count must be positive")
     return (permutations - 1).bit_length()
-
-
-def payload_bit_length(table: FrequencyTable) -> int:
-    """Worst-case rank width for this table, ceil(log2 P) bits."""
-    return rank_width_bits(permutation_count(table))
 
 
 def naive_bit_length(n: int, t: int) -> float:
@@ -179,33 +187,6 @@ def space_saving_percent(uncompressed_bits: float, compressed_bits: float) -> fl
     return (1.0 - compressed_bits / uncompressed_bits) * 100.0
 
 
-def shannon_pattern_count_log2(table: FrequencyTable) -> float:
-    """log2 of the pattern count implied by the entropy, n*log2(n) - sum(f*log2(f)).
-
-    Algebraically equal to n * shannon_entropy(table); kept as a separate
-    formula so the identity can be checked numerically.
-    """
-    n = table.n
-    if n == 0:
-        return 0.0
-    total = n * math.log2(n)
-    for c in table.counts:
-        if c:
-            total -= c * math.log2(c)
-    return total
-
-
-def entropy_bound_margin(table: FrequencyTable) -> float:
-    """Slack of the entropy bound: n*H - log2(P), in bits.
-
-    Strictly positive when at least two counts are nonzero; exactly zero
-    when a single symbol carries all the mass.
-    """
-    if table.n == 0:
-        return 0.0
-    return table.n * shannon_entropy(table) - math.log2(permutation_count(table))
-
-
 @dataclass(frozen=True)
 class MessageStats:
     """Size accounting for one message/table."""
@@ -214,7 +195,6 @@ class MessageStats:
     t_effective: int
     entropy_bits_per_symbol: float
     shannon_total_bits: float
-    rank_bound_bits_exact: int
     rank_bound_bits_real: float
     naive_bits: float
     compression_ratio: float
@@ -228,13 +208,13 @@ def message_stats(table: FrequencyTable) -> MessageStats:
     it is a length the message itself could be stored in. Ratio and
     saving compare that baseline against the entropy total; with one or
     zero distinct symbols both lengths vanish and the ratio degenerates
-    to 1 (nothing to compress).
+    to 1 (nothing to compress). The rank bound log2 P comes from
+    `log2_arrangements`, so no exact count is built.
     """
     n = table.n
     t_eff = table.t_effective
     entropy = shannon_entropy(table)
     total_entropy_bits = n * entropy
-    permutations = permutation_count(table)
     naive = naive_bit_length(n, t_eff) if t_eff else 0.0
     if naive > 0.0 and total_entropy_bits > 0.0:
         ratio = compression_ratio(naive, total_entropy_bits)
@@ -247,8 +227,7 @@ def message_stats(table: FrequencyTable) -> MessageStats:
         t_effective=t_eff,
         entropy_bits_per_symbol=entropy,
         shannon_total_bits=total_entropy_bits,
-        rank_bound_bits_exact=rank_width_bits(permutations),
-        rank_bound_bits_real=math.log2(permutations),
+        rank_bound_bits_real=log2_arrangements(table.counts),
         naive_bits=naive,
         compression_ratio=ratio,
         space_saving_percent=saving,

@@ -27,8 +27,8 @@ from cbe.multiset import (
     FrequencyTable,
     compression_ratio,
     naive_bit_length,
-    payload_bit_length,
     permutation_count,
+    rank_width_bits,
     shannon_entropy,
     space_saving_percent,
 )
@@ -75,7 +75,7 @@ def test_criterion_3_banana_table():
         rank, tallied = encode([ord(c) for c in "banana"], alphabet)
         assert rank == 22
         assert tallied == table
-        assert payload_bit_length(table) == 6
+        assert rank_width_bits(permutation_count(table)) == 6
         rows = enumerate_in_rank_order(table)
         assert len(rows) == 60
         for index, expected in enumerate(BANANA_RANKING):
@@ -135,7 +135,7 @@ def test_criterion_6_payload_bound_and_roundtrip():
         start = time.perf_counter()
         for table in _sweep_tables(1000, seed=0xFACE):
             budget = math.floor(table.n * shannon_entropy(table)) + 1
-            assert payload_bit_length(table) <= budget
+            assert rank_width_bits(permutation_count(table)) <= budget
 
         rng = random.Random(0xC0DEC)
         alphabets = {

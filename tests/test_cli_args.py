@@ -1,8 +1,10 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from cbe.binomials import multinomial
 from cbe.cli import EXIT_OK, EXIT_USAGE, main, parse_args
 from cbe.container import DEFAULT_BLOCK_SIZE
 
@@ -67,6 +69,28 @@ class TestBitModeStats:
         assert float(fields["rank_bound_bits"]) == pytest.approx(
             math.log2(math.comb(zeros + ones, ones)), abs=1e-3
         )
+
+
+class TestStatsRankBound:
+    """`rank_bound_bits` comes from lgamma, yet prints as the exact
+    count's log2 does."""
+
+    @pytest.mark.parametrize("mode", ["byte", "bit"])
+    @pytest.mark.parametrize("data", [
+        b"banana",
+        b"\x07" * 1000,
+        bytes(random.Random(10).randbytes(4096)),
+    ], ids=["banana", "constant", "random-4k"])
+    def test_prints_exact_value(self, data, mode, tmp_path, capsys):
+        src = tmp_path / "data"
+        src.write_bytes(data)
+        fields = stats_fields(capsys, "--mode", mode, str(src))
+        if mode == "byte":
+            permutations = multinomial(Counter(data).values())
+        else:
+            ones = sum(bin(b).count("1") for b in data)
+            permutations = math.comb(8 * len(data), ones)
+        assert fields["rank_bound_bits"] == f"{math.log2(permutations):.4f}"
 
 
 class TestSharedParser:

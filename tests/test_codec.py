@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from cbe.codec import (
     _TAIL,
     _rank_bit_string,
+    _rank_message,
     _unrank_bits,
     RankRangeError,
     arrivals_from_numeral,
@@ -264,6 +265,25 @@ class TestBitRunKernel:
     def test_empty(self):
         assert _rank_bit_string("") == (0, 0, 1)
         assert _unrank_bits(0, 0, 0) == 0
+
+
+class TestRankMessageCount:
+    """`encode`'s kernel returns the rank and counts `encode` does, and
+    its P is the table's arrangement count, across chunk folds too."""
+
+    @pytest.mark.parametrize("block", [
+        b"", b"a", b"\x00" * 4096, bytes(range(256)) * 4,
+        bytes(sorted(random.Random(11).randbytes(4096))),
+        bytes(sorted(random.Random(12).randbytes(4096), reverse=True)),
+        b"\x05" * 600 + random.Random(13).randbytes(600),
+        random.Random(14).randbytes(9000),
+    ], ids=["empty", "one-symbol", "constant", "ascending-cycles", "sorted",
+            "reverse-sorted", "constant-prefix", "random-9000"])
+    def test_count_matches_factorials(self, block):
+        rank, counts, permutations = _rank_message(block, BYTE_ALPHABET)
+        want, table = encode(block, BYTE_ALPHABET)
+        assert (rank, tuple(counts)) == (want, table.counts)
+        assert permutations == factorial_multinomial(counts)
 
 
 def literal_weight(counts, rank):

@@ -20,13 +20,19 @@ from cbe.container import (
     compress_bytes,
     decompress,
     decompress_bytes,
-    read_varint,
     summarize,
     write_varint,
+    _ByteReader,
 )
 from cbe.multiset import BIT_ALPHABET
 
 BANANA_ARCHIVE = bytes.fromhex("43424531010603610362016e02011600")
+
+
+def read_varint(data: bytes):
+    """(value, bytes consumed) for the varint at the start of `data`."""
+    reader = _ByteReader(io.BytesIO(data))
+    return reader.varint("varint"), reader.consumed
 
 
 class TestVarint:
@@ -44,8 +50,10 @@ class TestVarint:
             write_varint(-1)
 
     def test_offset(self):
-        data = b"\xff" + write_varint(300)
-        assert read_varint(data, 1) == (300, 3)
+        # a varint after other bytes; consumed counts from the start
+        reader = _ByteReader(io.BytesIO(b"\xff" + write_varint(300)))
+        reader.exact(1, "lead byte")
+        assert (reader.varint("varint"), reader.consumed) == (300, 3)
 
     def test_truncated(self):
         with pytest.raises(ArchiveError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cbe.binomials import multinomial
 from cbe.multiset import (
     Alphabet,
     BYTE_ALPHABET,
@@ -11,14 +12,12 @@ from cbe.multiset import (
     UnknownSymbolError,
     build_frequency_table,
     compression_ratio,
-    entropy_bound_margin,
+    log2_arrangements,
     message_stats,
     naive_bit_length,
-    payload_bit_length,
     permutation_count,
     rank_width_bits,
     shannon_entropy,
-    shannon_pattern_count_log2,
     space_saving_percent,
 )
 from helpers import char_table, table_of
@@ -27,6 +26,24 @@ from helpers import char_table, table_of
 bounded_tables = st.lists(st.integers(1, 16), min_size=2, max_size=16).map(
     lambda counts: table_of(*counts)
 )
+
+
+@st.composite
+def count_lists(draw, max_n=100_000):
+    """Up to 16 counts, zeros included, summing to at most max_n."""
+    n = draw(st.integers(0, max_n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=15)))
+    bounds = [0, *cuts, n]
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+def payload_width(table):
+    return rank_width_bits(permutation_count(table))
+
+
+def entropy_margin(table):
+    """Slack of the entropy bound, n*H - log2 P, in bits."""
+    return table.n * shannon_entropy(table) - log2_arrangements(table.counts)
 
 
 class TestAlphabet:
@@ -114,6 +131,13 @@ class TestEntropy:
         assert shannon_entropy(table_of(0, 0)) == 0.0
 
 
+class TestLog2Arrangements:
+    @given(count_lists())
+    def test_matches_exact_count(self, counts):
+        exact = math.log2(multinomial(counts))
+        assert abs(log2_arrangements(counts) - exact) <= 1e-6
+
+
 class TestPermutationCount:
     def test_values(self):
         assert permutation_count(table_of(3, 1, 2)) == 60
@@ -129,11 +153,11 @@ class TestPermutationCount:
 
 class TestPayloadBitLength:
     def test_banana(self):
-        assert payload_bit_length(table_of(3, 1, 2)) == 6
+        assert payload_width(table_of(3, 1, 2)) == 6
 
     def test_single_arrangement(self):
-        assert payload_bit_length(table_of(5)) == 0
-        assert payload_bit_length(table_of(0, 0)) == 0
+        assert payload_width(table_of(5)) == 0
+        assert payload_width(table_of(0, 0)) == 0
 
     def test_4_7_against_pascal_row(self):
         # independent row build: P for (4, 7) is C(11, 7)
@@ -141,7 +165,7 @@ class TestPayloadBitLength:
         for _ in range(11):
             row = [1] + [a + b for a, b in zip(row, row[1:])] + [1]
         assert row[7] == 330
-        assert payload_bit_length(table_of(4, 7)) == math.ceil(math.log2(330)) == 9
+        assert payload_width(table_of(4, 7)) == math.ceil(math.log2(330)) == 9
 
     def test_rank_width_bits(self):
         assert rank_width_bits(1) == 0
@@ -184,47 +208,31 @@ class TestRatios:
             space_saving_percent(0, 10)
 
 
-class TestPatternCount:
-    def test_banana(self):
-        assert shannon_pattern_count_log2(table_of(3, 1, 2)) == pytest.approx(
-            8.7546, abs=1e-3
-        )
-
-    def test_trivial(self):
-        assert shannon_pattern_count_log2(table_of(6)) == 0.0
-        assert shannon_pattern_count_log2(table_of(2, 2)) == pytest.approx(4.0)
-
-    @given(bounded_tables)
-    def test_equals_entropy_total(self, table):
-        total = table.n * shannon_entropy(table)
-        assert math.isclose(
-            shannon_pattern_count_log2(table), total, rel_tol=1e-9, abs_tol=1e-9
-        )
-
-
 class TestEntropyBoundMargin:
+    """n*H - log2 P, with log2 P from `log2_arrangements`."""
+
     def test_banana(self):
-        assert entropy_bound_margin(table_of(3, 1, 2)) == pytest.approx(
+        assert entropy_margin(table_of(3, 1, 2)) == pytest.approx(
             2.8477, abs=1e-3
         )
 
     def test_single_symbol_is_tight(self):
-        assert entropy_bound_margin(table_of(5)) == 0.0
-        assert entropy_bound_margin(table_of(0, 17, 0)) == 0.0
+        assert entropy_margin(table_of(5)) == 0.0
+        assert entropy_margin(table_of(0, 17, 0)) == 0.0
 
     def test_uniform_pair(self):
-        assert entropy_bound_margin(table_of(1, 1)) == pytest.approx(1.0)
+        assert entropy_margin(table_of(1, 1)) == pytest.approx(1.0)
 
     @given(bounded_tables)
     def test_strictly_positive_with_two_symbols(self, table):
-        assert entropy_bound_margin(table) > 0.0
+        assert entropy_margin(table) > 0.0
         exact = math.log2(permutation_count(table))
         assert exact < table.n * shannon_entropy(table)
 
     @given(bounded_tables)
     def test_payload_within_entropy_budget(self, table):
         budget = math.floor(table.n * shannon_entropy(table)) + 1
-        assert payload_bit_length(table) <= budget
+        assert payload_width(table) <= budget
 
 
 class TestMessageStats:
@@ -234,7 +242,6 @@ class TestMessageStats:
         assert stats.t_effective == 3
         assert stats.entropy_bits_per_symbol == pytest.approx(1.4591, abs=1e-4)
         assert stats.shannon_total_bits == pytest.approx(8.7546, abs=1e-3)
-        assert stats.rank_bound_bits_exact == 6
         assert stats.rank_bound_bits_real == pytest.approx(5.9069, abs=1e-4)
         assert stats.naive_bits == pytest.approx(9.5098, abs=1e-4)
         assert stats.compression_ratio == pytest.approx(1.0863, abs=1e-3)
@@ -244,7 +251,7 @@ class TestMessageStats:
         stats = message_stats(table_of(9))
         assert stats.compression_ratio == 1.0
         assert stats.space_saving_percent == 0.0
-        assert stats.rank_bound_bits_exact == 0
+        assert stats.rank_bound_bits_real == 0.0
         empty = message_stats(build_frequency_table([], BYTE_ALPHABET))
         assert empty.n == 0 and empty.shannon_total_bits == 0.0
 
@@ -259,7 +266,6 @@ class TestMessageStats:
             stats.t_effective,
             stats.entropy_bits_per_symbol,
             stats.shannon_total_bits,
-            stats.rank_bound_bits_exact,
             stats.rank_bound_bits_real,
             stats.naive_bits,
             stats.compression_ratio,
