@@ -49,6 +49,14 @@ def corpora(size, seed, block_bytes):
         weights = [p ** v.bit_count() * (1 - p) ** (8 - v.bit_count())
                    for v in range(256)]
         yield f"bits-{p}", bytes(rng.choices(range(256), weights=weights, k=size))
+    # 4 KiB pages of zeros, each with 123 random nonzero bytes: long zero
+    # runs that the unranker takes one exact step per run
+    sparse = bytearray(size)
+    for start in range(0, size, 4096):
+        page = min(4096, size - start)
+        for pos in rng.sample(range(page), min(123, page)):
+            sparse[start + pos] = rng.randrange(1, 256)
+    yield "sparse", bytes(sparse)
 
 
 def run(name, data, block_size, mode):

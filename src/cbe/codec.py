@@ -16,11 +16,11 @@ Encoding is adaptive and single-pass: each arrival is charged the
 number of arrangements of the prefix seen so far that would sort below
 it. No symbol statistics are needed up front; the counts accumulated
 during the pass are exactly the side information the decoder requires.
-`encode` tallies the message run by run, turns the runs into terms of
-one rational series, and sums every few hundred terms at once with a
-product tree (binary splitting, after Haible and Papanikolaou), folding
-each partial sum into the rank with exact divisions; the last fold
-also yields the block's arrangement count.
+`encode` tallies the message run by run, turns each run into one term
+of a rational series, and sums every few hundred arrivals' terms at
+once with a product tree (binary splitting, after Haible and
+Papanikolaou), folding each partial sum into the rank with exact
+divisions; the last fold also yields the block's arrangement count.
 
 `decode` walks back from the top position down. Each of its steps is
 the interval-narrowing step of arithmetic decoding (Witten, Neal and
@@ -28,6 +28,11 @@ Cleary), so it reads symbols off the leading bits of the rank and the
 arrangement count alone, accepts each only once a bound on how far
 those bits can have drifted proves it, and folds every chunk of
 decisions back into the exact numbers with the same product tree.
+Where the numbers are short enough to step exactly, a run of one
+symbol is decoded in one step: the arrangements that put that symbol
+on the top j positions form nested intervals, and the run's length is
+the deepest one that holds the rank, guessed in floats and checked
+exactly (Cover's enumerative code, taken a run at a time).
 
 `encode`/`decode` handle any alphabet. Bit mode has its own ranker and
 unranker for the two-symbol case of the same ranking (Cover's
@@ -211,10 +216,11 @@ def _rank_message(message, alphabet):
     Arrival i adds M_i * b_i / s_i to the rank, where M_i counts the
     arrangements of the first i arrivals, b_i of those rank below the
     arriving symbol, and s_i is the symbol's count once it has arrived;
-    M_{i+1} = M_i * (i+1) / s_i. A run of r equal symbols is tallied
-    once. It becomes r leaves (P, Q, T) = (i+1, s_i, b_i), or a single
-    leaf of falling factorials when it has one symbol or its b is 0; a
-    run that only extends an all-equal prefix adds nothing. Every
+    M_{i+1} = M_i * (i+1) / s_i. A run of r equal symbols, arriving at
+    i with s of them seen before and b arrivals below them, is tallied
+    once and becomes one leaf (P, Q, T) = (perm(i+r, r), perm(s+r, r),
+    b*(P - Q)/(i - s)): its r terms telescope, and i - s divides P - Q.
+    A run that only extends an all-equal prefix adds nothing. Every
     `_CHUNK` arrivals a product tree reduces the pending leaves and they
     are folded into the rank with exact divisions, which keeps the
     numbers near the size of the rank itself. The last fold carries M
@@ -242,14 +248,12 @@ def _rank_message(message, alphabet):
                 ps.append(i + 1)
                 qs.append(s + 1)
                 ts.append(b)
-            elif not b:
-                ps.append(math.perm(i + r, r))
-                qs.append(math.perm(s + r, r))
-                ts.append(0)
             else:
-                ps.extend(range(i + 1, i + r + 1))
-                qs.extend(range(s + 1, s + r + 1))
-                ts.extend([b] * r)
+                p = math.perm(i + r, r)
+                q = math.perm(s + r, r)
+                ps.append(p)
+                qs.append(q)
+                ts.append(b * (p - q) // (i - s))
         counts[k] = s + r
         coarse[hi] += r
         i += r
@@ -332,6 +336,14 @@ def _unrank_counts(rank, counts, permutations):
     Cuts that stay in the previous symbol's interval skip the descent
     and defer its tree updates, and a rank of 0 is the lowest
     arrangement, written out directly.
+
+    An exact step whose symbol k likely starts a run, because the cut
+    repeated the previous symbol or k holds most of what remains, takes
+    the whole run at once: `_run_length` finds the longest J for which
+    the top J positions are all k, and rank -= L_J, total = tot_J (see
+    there) apply it exactly. A sparse page, short enough to step
+    exactly throughout, then costs about one step per zero run instead
+    of one per zero.
     """
     t = len(counts)
     remaining = list(counts)
@@ -420,6 +432,19 @@ def _unrank_counts(rank, counts, permutations):
                 run_hi = below + remaining[k]
             run_hi -= 1
             p = remaining[k]
+            if not shift and p > 1 and (pending or 2 * p > m):
+                # a run is likely (`pending`: the cut repeated the
+                # previous symbol): take all of k's top positions at once
+                j, tot_j = _run_length(r, tot, m, p, below)
+                if below:  # L_J; below is 0 where m == p
+                    r -= below * (tot - tot_j) // (m - p)
+                tot = tot_j
+                remaining[k] = p - j
+                pending += j - 1
+                run_hi -= j - 1
+                out[m - j:m] = [k] * j
+                m -= j
+                continue
             remaining[k] = p - 1
             ps.append(p)
             ts.append(below)
@@ -438,3 +463,69 @@ def _unrank_counts(rank, counts, permutations):
             total = whole * p + part * p // q
     assert rank == 0
     return out
+
+
+def _run_length(rank, total, m, c, lo):
+    """(J, tot_J): how many of the top positions hold the symbol there.
+
+    Exact-step state: m symbols remain with `total` arrangements, and
+    the cut has put at the top the symbol that owns cuts [lo, lo + c),
+    so J >= 1. The arrangements whose top j positions all hold it form
+    the interval [L_j, L_j + tot_j), where tot_j = total*perm(c, j) /
+    perm(m, j) and L_j = lo*(total - tot_j)/(m - c); both are exact,
+    and the intervals nest. With d = rank*(m - c) - lo*total, rank lies
+    in the j-th interval exactly when -lo*tot_j <= d < hi*tot_j, where
+    hi = m - c - lo; that is side*tot_j >= bound for one of the two
+    sides, fixed by the sign of d. J is the largest such j <= c.
+    `_run_guess` estimates it in floats; the guess is checked exactly
+    at J and at J + 1 and walked to the exact J if either check fails.
+    A symbol holding at most half of what remains is tried only after
+    a repeat, and its runs mostly end there, so j = 2 is checked first.
+    """
+    if c == m:  # one symbol left: the rest of the block is this run
+        return c, total
+    d = rank * (m - c) - lo * total
+    if d < 0:
+        side, bound = lo, -d
+    else:
+        side, bound = m - c - lo, d + 1
+    if 2 * c <= m:
+        tot_j = total * c // m
+        if side * (tot_j * (c - 1) // (m - 1)) < bound:
+            return 1, tot_j
+    j = _run_guess(bound, side, total, m, c)
+    if j <= m - c:  # the same ratio, from whichever has fewer factors
+        tot_j = total * math.perm(c, j) // math.perm(m, j)
+    else:
+        tot_j = total * math.perm(m - j, m - c) // math.perm(m, m - c)
+    if side * tot_j >= bound:
+        while j < c:  # is position m - j - 1 the same symbol?
+            nxt = tot_j * (c - j) // (m - j)
+            if side * nxt < bound:
+                break
+            j += 1
+            tot_j = nxt
+    else:
+        while True:  # ends by j == 1, which the cut has decided
+            tot_j = tot_j * (m - j + 1) // (c - j + 1)
+            j -= 1
+            if side * tot_j >= bound:
+                break
+    return j, tot_j
+
+
+def _run_guess(bound, side, total, m, c):
+    """Float estimate, in [1, c], of the J that `_run_length` finds.
+
+    J is the largest j with a_j = perm(c, j)/perm(m, j) at least
+    bound/(side*total). log a_j sums log((c - i)/(m - i)) over i < j,
+    which is close to j times the log of its middle term: solve that
+    with the first term, then once more with the middle term of the
+    run found.
+    """
+    target = math.log(bound) - math.log(side) - math.log(total)
+    j = target / math.log(c / m)
+    if j >= c:
+        return c
+    half = (j - 1) / 2
+    return max(1, min(int(target / math.log((c - half) / (m - half))), c))

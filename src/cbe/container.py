@@ -116,20 +116,18 @@ def _read_full(src, size: int) -> bytes:
     return b"".join(parts)
 
 
-def _frame(n, entries, permutations):
-    """One block's header bytes and rank width in bits.
+def _frame(n, entries, width):
+    """One block's header bytes, for a rank `width` bits wide.
 
     The single place that lays out a block's framing: `compress` writes
     this header ahead of the rank, `summarize` only measures it.
-    `permutations` is the block's arrangement count P.
     """
-    width = rank_width_bits(permutations)
     parts = [write_varint(n), write_varint(len(entries))]
     for symbol, count in entries:
         parts.append(bytes((symbol,)))
         parts.append(write_varint(count))
     parts.append(write_varint((width + 7) // 8))
-    return b"".join(parts), width
+    return b"".join(parts)
 
 
 def _summary(frames):
@@ -219,7 +217,8 @@ def compress(src, dst, *, block_size: int = DEFAULT_BLOCK_SIZE, mode: int = MODE
 
     def frames():
         for n, entries, rank, permutations in _ranked_blocks(src, block_size, mode):
-            header, width = _frame(n, entries, permutations)
+            width = rank_width_bits(permutations)
+            header = _frame(n, entries, width)
             dst.write(header + rank.to_bytes((width + 7) // 8, "big"))
             yield n, header, width
 
@@ -254,9 +253,8 @@ def summarize(data: bytes, *, block_size: int = DEFAULT_BLOCK_SIZE,
 
     def frames():
         for n, entries in _tallied_blocks(data, block_size, mode):
-            counts = [count for _, count in entries]
-            header, width = _frame(n, entries, multinomial(counts))
-            yield n, header, width
+            width = _payload_width([count for _, count in entries])
+            yield n, _frame(n, entries, width), width
 
     return _summary(frames())
 
@@ -287,15 +285,41 @@ def _read_block_table(reader, n, index, max_symbol):
     return counts
 
 
+def _log2_error(counts):
+    """Bits by which `log2_arrangements(counts)` may be off, with room.
+
+    Its float error is a small multiple of 1e-16 * lgamma(n+1) bits
+    (at most 6.2e-16 * lgamma(n+1) on 3000 random byte, bit and wide
+    tables); this allows 2e-12 * lgamma(n+1), plus 1e-9.
+    """
+    return 1e-9 + 2e-12 * math.lgamma(sum(counts) + 1)
+
+
+def _payload_width(counts):
+    """A block's rank width ceil(log2 P), from lgamma where that is safe.
+
+    When log2_arrangements lies farther than `_log2_error` from every
+    integer, log2 P lies strictly between the same two integers and the
+    width is the upper one. Otherwise, as for P == 1 and powers of two,
+    the exact count decides.
+    """
+    bits = log2_arrangements(counts)
+    error = _log2_error(counts)
+    below = math.floor(bits - error)
+    if below < bits - error and bits + error < below + 1:
+        return below + 1
+    return rank_width_bits(multinomial(counts))
+
+
 def _payload_len_bracket(counts):
     """Bounds on a block's payload length from lgamma, not from P itself.
 
     The exact arrangement count P takes time superlinear in n, and n is
     whatever the archive claims, so a length is first checked against
-    `log2_arrangements`, widened well past its float error.
+    `log2_arrangements`, widened past `_log2_error`.
     """
     bits = log2_arrangements(counts)
-    slack = 2 + 2e-12 * math.lgamma(sum(counts) + 1)
+    slack = 2 + _log2_error(counts)
     return max(0, math.floor((bits - slack) / 8)), math.ceil((bits + slack) / 8) + 1
 
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbe import codec
 from cbe.codec import (
     _TAIL,
+    _run_length,
     _rank_bit_string,
     _rank_message,
     _unrank_bits,
@@ -26,6 +28,7 @@ from cbe.multiset import (
     UnknownSymbolError,
     permutation_count,
 )
+from cbe.oracle import enumerate_in_rank_order
 from helpers import factorial_multinomial, table_of
 
 ABN = Alphabet((97, 98, 110))
@@ -465,3 +468,147 @@ class TestChunkedUnrank:
                           *_first_cut_boundaries(table)}:
                 _assert_unranks(other, table)
         assert min(widths) < _TAIL < max(widths)
+
+
+def _run_block(kind, size, seed):
+    """Blocks with long runs, for the unranker's one-step run rule."""
+    rng = random.Random(seed)
+    if kind == "sparse":  # a page with 3% nonzero bytes
+        block = bytearray(size)
+        for i in rng.sample(range(size), size * 3 // 100):
+            block[i] = rng.randrange(1, 256)
+        return bytes(block)
+    if kind == "runs-40":
+        return b"".join(bytes([rng.randrange(256)]) * 40
+                        for _ in range(-(-size // 40)))[:size]
+    if kind == "two-symbol":
+        return bytes(rng.choices(b"ab", weights=(7, 3), k=size))
+    data = bytes(rng.choices(range(16), k=size))
+    if kind == "sorted":
+        return bytes(sorted(data))
+    assert kind == "reverse-sorted"
+    return bytes(sorted(data, reverse=True))
+
+
+def _top_run_interval(counts, k, j):
+    """(L_j, tot_j): the ranks whose top j positions all hold symbol k."""
+    m = sum(counts)
+    c = counts[k]
+    lo = sum(counts[:k])
+    total = factorial_multinomial(counts)
+    tot_j = total * math.perm(c, j) // math.perm(m, j)
+    return (lo * (total - tot_j) // (m - c) if lo else 0), tot_j
+
+
+def _stepped_run(rank, total, m, c, lo):
+    """The run length `_run_length` must find, one exact step at a time."""
+    j = 0
+    while j < c and lo <= rank * (m - j) // total < lo + c - j:
+        rank -= total * lo // (m - j)
+        total = total * (c - j) // (m - j)
+        j += 1
+    return j, total
+
+
+def _compositions(n):
+    """Every count tuple of positive parts summing to n."""
+    for parts in range(n):
+        for cuts in itertools.combinations(range(1, n), parts):
+            ends = (0, *cuts, n)
+            yield tuple(b - a for a, b in zip(ends, ends[1:]))
+
+
+class TestRunUnrank:
+    """The exact steps decode the run of one symbol at the top in one
+    step: rank -= L_J and total = tot_J for the longest run J that the
+    nested intervals [L_j, L_j + tot_j) admit."""
+
+    BLOCKS = [("sparse", 4096), ("sparse", 600), ("runs-40", 4096),
+              ("runs-40", 400), ("sorted", 4096), ("sorted", 300),
+              ("reverse-sorted", 4096), ("reverse-sorted", 300),
+              ("two-symbol", 4096), ("two-symbol", 500)]
+
+    @pytest.mark.parametrize("kind,size", BLOCKS,
+                             ids=[f"{k}-{n}" for k, n in BLOCKS])
+    def test_run_interval_ends(self, kind, size):
+        data = _run_block(kind, size, seed=size)
+        rank, table = encode(data, BYTE_ALPHABET)
+        assert bytes(decode(rank, table)) == data
+        permutations = permutation_count(table)
+        for end in (0, 1, permutations - 2, permutations - 1):
+            _assert_unranks(end, table)
+        # the first run of the lowest, a middle and the top symbol, for
+        # one, two, half and all of its copies (J == c exhausts it)
+        counts = [c for c in table.counts if c]
+        symbols = [s for s, c in enumerate(table.counts) if c]
+        for k in sorted({0, len(counts) // 2, len(counts) - 1}):
+            c = counts[k]
+            for j in sorted({1, min(2, c), max(c // 2, 1), c}):
+                start, width = _top_run_interval(counts, k, j)
+                for rank in (start, start + width - 1):
+                    msg = decode(rank, table)
+                    assert msg[size - j:] == [symbols[k]] * j
+                    assert encode(msg, BYTE_ALPHABET) == (rank, table)
+
+    def test_sparse_page_takes_one_step_per_zero_run(self, monkeypatch):
+        data = _run_block("sparse", 4096, seed=3)
+        rank, table = encode(data, BYTE_ALPHABET)
+        runs = []
+
+        def run_length(*args):
+            j, tot_j = _run_length(*args)
+            runs.append(j)
+            return j, tot_j
+
+        monkeypatch.setattr(codec, "_run_length", run_length)
+        assert bytes(decode(rank, table)) == data
+        # decoding runs from the top position down
+        assert runs == [len(list(run)) for byte, run
+                        in itertools.groupby(reversed(data)) if byte == 0]
+
+    @pytest.mark.parametrize("counts", [(3, 4), (7, 1), (2, 6, 1), (5, 2, 3),
+                                        (1, 1, 4, 2)])
+    def test_any_guess_finds_the_exact_run(self, counts, monkeypatch):
+        # the float guess only saves steps: from every guess in [1, c],
+        # checks at J and J + 1 and the walk between them find the same J
+        m = sum(counts)
+        total = factorial_multinomial(counts)
+        ends = list(itertools.accumulate(counts))
+        for rank in range(total):
+            cut = rank * m // total
+            k = next(i for i, end in enumerate(ends) if cut < end)
+            lo, c = ends[k] - counts[k], counts[k]
+            want = _stepped_run(rank, total, m, c, lo)
+            assert want[0] >= 1
+            for guess in range(1, c + 1):
+                monkeypatch.setattr(codec, "_run_guess", lambda *_: guess)
+                assert _run_length(rank, total, m, c, lo) == want
+
+    def test_any_guess_on_a_sparse_page(self, monkeypatch):
+        data = _run_block("sparse", 4096, seed=11)
+        rank, table = encode(data, BYTE_ALPHABET)
+        counts = [c for c in table.counts if c]
+        m, c = sum(counts), counts[0]
+        total = permutation_count(table)
+        want = _stepped_run(rank, total, m, c, 0)
+        j = want[0]
+        assert data[-j:] == bytes(j)
+        guesses = []
+        float_guess = codec._run_guess
+        monkeypatch.setattr(codec, "_run_guess",
+                            lambda *args: guesses.append(float_guess(*args))
+                            or guesses[-1])
+        assert _run_length(rank, total, m, c, 0) == want
+        assert abs(guesses[0] - j) <= 1  # the float guess is itself close
+        # guesses on both sides of J, and past m - c zeros
+        for guess in {1, max(j - 1, 1), j, j + 1, j + 5, m - c + 1, c}:
+            monkeypatch.setattr(codec, "_run_guess", lambda *_: guess)
+            assert _run_length(rank, total, m, c, 0) == want
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_multiset_against_oracle(self, n):
+        for counts in _compositions(n):
+            rows = enumerate_in_rank_order(table_of(*counts))
+            total = len(rows)
+            assert [tuple(codec._unrank_counts(rank, counts, total))
+                    for rank in range(total)] == rows

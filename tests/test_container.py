@@ -23,8 +23,10 @@ from cbe.container import (
     summarize,
     write_varint,
     _ByteReader,
+    _payload_width,
 )
-from cbe.multiset import BIT_ALPHABET
+from cbe.binomials import multinomial
+from cbe.multiset import BIT_ALPHABET, rank_width_bits
 
 BANANA_ARCHIVE = bytes.fromhex("43424531010603610362016e02011600")
 
@@ -438,6 +440,38 @@ class TestSummarize:
             summarize(b"abc", block_size=0)
         with pytest.raises(ValueError):
             summarize(b"abc", mode=7)
+
+
+class TestPayloadWidth:
+    """`summarize` takes a block's rank width from lgamma, and from the
+    exact count only where lgamma's error bound reaches an integer."""
+
+    # P is a power of two, or one away from it, or 1
+    NEAR_POWERS = [(1,), (9,), (1, 1), (1, 3), (3, 1), (1, 2), (1, 4),
+                   (2, 2), (1, 1, 1, 1), (1, 7), (1, 2**20 - 1),
+                   (1, 2**20 - 2), (1, 2**20), (2**20 - 1, 1, 0)]
+    NEAR_POWERS += [(1, 2**k + e) for k in range(1, 31) for e in (-2, -1, 0)]
+
+    @pytest.mark.parametrize("counts", NEAR_POWERS)
+    def test_powers_of_two(self, counts):
+        assert _payload_width(counts) == rank_width_bits(multinomial(counts))
+
+    def test_random_byte_tables(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            d = rng.randint(1, 256)
+            scale = rng.choice((1, 4, 40, 1000))
+            counts = [rng.randint(1, scale) for _ in range(d)]
+            assert _payload_width(counts) == rank_width_bits(multinomial(counts))
+
+    def test_bit_tables(self):
+        rng = random.Random(4243)
+        tables = [(z, n - z) for n in range(1, 65) for z in range(n + 1)]
+        tables += [(n - o, o) for n in (4096, 32768, 65536)
+                   for o in rng.sample(range(n + 1), 40)]
+        for zeros, ones in tables:
+            assert (_payload_width((zeros, ones))
+                    == rank_width_bits(math.comb(zeros + ones, ones)))
 
 
 class _DribbleReader:
