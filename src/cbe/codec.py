@@ -66,6 +66,7 @@ _CHUNK = 512
 _WINDOW = 768
 _GUARD = 32
 _TAIL = 2 * _WINDOW
+_LN2 = math.log(2)  # `_ln` scales wide values by powers of two
 
 # `_rank_bit_string` matches a zero run, maybe empty, and the one run
 # after it at a time; `encode_binary` spells bits out with `_BIT_CHARS`.
@@ -494,10 +495,7 @@ def _run_length(rank, total, m, c, lo):
         if side * (tot_j * (c - 1) // (m - 1)) < bound:
             return 1, tot_j
     j = _run_guess(bound, side, total, m, c)
-    if j <= m - c:  # the same ratio, from whichever has fewer factors
-        tot_j = total * math.perm(c, j) // math.perm(m, j)
-    else:
-        tot_j = total * math.perm(m - j, m - c) // math.perm(m, m - c)
+    tot_j = total * math.perm(c, j) // math.perm(m, j)
     if side * tot_j >= bound:
         while j < c:  # is position m - j - 1 the same symbol?
             nxt = tot_j * (c - j) // (m - j)
@@ -523,9 +521,22 @@ def _run_guess(bound, side, total, m, c):
     with the first term, then once more with the middle term of the
     run found.
     """
-    target = math.log(bound) - math.log(side) - math.log(total)
+    target = _ln(bound) - math.log(side) - _ln(total)
     j = target / math.log(c / m)
     if j >= c:
         return c
     half = (j - 1) / 2
     return max(1, min(int(target / math.log((c - half) / (m - half))), c))
+
+
+def _ln(x):
+    """Natural log of a positive integer of any width, int or mpz.
+
+    math.log takes a wide int whole, but any other integer type, gmpy2's
+    mpz among them, goes through float, which overflows past 1024 bits;
+    so a wide value is shifted down to its top 64 bits first.
+    """
+    n = x.bit_length()
+    if n <= 1000:
+        return math.log(x)
+    return math.log(x >> (n - 64)) + (n - 64) * _LN2

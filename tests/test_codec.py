@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cbe import codec
 from cbe.codec import (
     _TAIL,
+    _run_guess,
     _run_length,
     _rank_bit_string,
     _rank_message,
@@ -518,6 +520,64 @@ def _compositions(n):
             yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
+class _Wide:
+    """An integer type that, like gmpy2's mpz, is not an int, so
+    math.log takes it through float, which overflows past 1024 bits."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = int(value)
+
+    def __float__(self):
+        return float(self.value)
+
+    def __int__(self):
+        return self.value
+
+    __index__ = __int__
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __neg__(self):
+        return _Wide(-self.value)
+
+    def bit_length(self):
+        return self.value.bit_length()
+
+    def __divmod__(self, other):
+        q, r = divmod(self.value, int(other))
+        return _Wide(q), _Wide(r)
+
+    def __rdivmod__(self, other):
+        q, r = divmod(int(other), self.value)
+        return _Wide(q), _Wide(r)
+
+
+def _lift(op):
+    return (lambda a, b: _Wide(op(a.value, int(b))),
+            lambda a, b: _Wide(op(int(b), a.value)))
+
+
+for _name in ("add", "sub", "mul", "floordiv", "mod", "lshift", "rshift"):
+    _op = getattr(operator, _name)
+    _fwd, _rev = _lift(_op)
+    setattr(_Wide, f"__{_name}__", _fwd)
+    setattr(_Wide, f"__r{_name}__", _rev)
+for _name in ("eq", "ne", "lt", "le", "gt", "ge"):
+    setattr(_Wide, f"__{_name}__",
+            lambda a, b, op=getattr(operator, _name): op(a.value, int(b)))
+_Wide.__hash__ = None
+
+WIDE_TYPES = [_Wide]
+try:
+    from gmpy2 import mpz as _gmpy2_mpz
+    WIDE_TYPES.append(_gmpy2_mpz)
+except ImportError:
+    pass
+
+
 class TestRunUnrank:
     """The exact steps decode the run of one symbol at the top in one
     step: rank -= L_J and total = tot_J for the longest run J that the
@@ -600,7 +660,7 @@ class TestRunUnrank:
                             or guesses[-1])
         assert _run_length(rank, total, m, c, 0) == want
         assert abs(guesses[0] - j) <= 1  # the float guess is itself close
-        # guesses on both sides of J, and past m - c zeros
+        # guesses on both sides of J, up to all c zeros
         for guess in {1, max(j - 1, 1), j, j + 1, j + 5, m - c + 1, c}:
             monkeypatch.setattr(codec, "_run_guess", lambda *_: guess)
             assert _run_length(rank, total, m, c, 0) == want
@@ -612,3 +672,27 @@ class TestRunUnrank:
             total = len(rows)
             assert [tuple(codec._unrank_counts(rank, counts, total))
                     for rank in range(total)] == rows
+
+    @pytest.mark.parametrize("wide", WIDE_TYPES,
+                             ids=lambda t: t.__module__ + "." + t.__name__)
+    def test_wide_operands_of_any_integer_type(self, wide, monkeypatch):
+        # a sparse page's total is about 1.4 kbit and its first cut takes
+        # a jump, so the float guess must not convert it whole
+        data = _run_block("sparse", 4096, seed=5)
+        rank, table = encode(data, BYTE_ALPHABET)
+        counts = [c for c in table.counts if c]
+        m, c = sum(counts), counts[0]
+        total = permutation_count(table)
+        assert total.bit_length() > 1100
+        with pytest.raises(OverflowError):
+            float(wide(total))
+        bound = rank * (m - c) + 1  # with lo == 0, side is m - c
+        assert bound.bit_length() > 1100
+        assert (_run_guess(wide(bound), m - c, wide(total), m, c)
+                == _run_guess(bound, m - c, total, m, c))
+        assert (_run_length(wide(rank), wide(total), m, c, 0)
+                == _run_length(rank, total, m, c, 0))
+        # and so must the whole decoder, stepped exactly or windowed
+        monkeypatch.setattr(codec, "mpz", wide)
+        for block in (data, _run_block("runs-40", 4096, seed=5)):
+            assert bytes(decode(*encode(block, BYTE_ALPHABET))) == block
