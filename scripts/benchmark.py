@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Throughput and bound-tightness report for the block codec.
 
-Times compress/decompress over synthetic corpora and shows how close
-the payload lands to the entropy total per corpus:
+Times compress/decompress over synthetic corpora, with decode time over
+encode time (above 1 where decode is the slower half), and shows how
+close the payload lands to the entropy total per corpus:
 
     python scripts/benchmark.py
     python scripts/benchmark.py --size 4194304 --block-size 8192
@@ -82,6 +83,7 @@ def run(name, data, block_size, mode):
     print(
         f"{name:>10}  enc {mib / max(t1 - t0, 1e-9):6.2f} MiB/s"
         f"  dec {mib / max(t2 - t1, 1e-9):6.2f} MiB/s"
+        f"  dec/enc {(t2 - t1) / max(t1 - t0, 1e-9):5.2f}"
         f"  payload {summary.payload_bits:>9} bits"
         f"  nH {stats.shannon_total_bits:12.1f}"
         f"  archive {summary.total_bytes:>9} B"

@@ -24,10 +24,13 @@ divisions; the last fold also yields the block's arrangement count.
 
 `decode` walks back from the top position down. Each of its steps is
 the interval-narrowing step of arithmetic decoding (Witten, Neal and
-Cleary), so it reads symbols off the leading bits of the rank and the
-arrangement count alone, accepts each only once a bound on how far
-those bits can have drifted proves it, and folds every chunk of
-decisions back into the exact numbers with the same product tree.
+Cleary) on the fraction x = rank/arrangements: the symbol on top is
+the one whose share of the remaining symbols holds floor(x*m), read
+off a sorted pool of the symbols left. A step needs only the leading
+bits of x, so decode carries x as a fixed-point fraction with a proven
+error bound, takes a symbol only when no value within the bound would
+give another, and folds every chunk of decisions back into the exact
+rank and arrangement count with the same product tree.
 Where the numbers are short enough to step exactly, a run of one
 symbol is decoded in one step: the arrangements that put that symbol
 on the top j positions form nested intervals, and the run's length is
@@ -48,6 +51,7 @@ them for bit lists.
 
 import math
 import re
+from bisect import bisect_left
 from itertools import groupby
 
 from .binomials import mpz, multinomial
@@ -59,10 +63,12 @@ from .multiset import Alphabet, FrequencyTable, UnknownSymbolError
 # full-width divisions.
 _CHUNK = 512
 
-# `_unrank_counts` decodes from the top `_WINDOW` bits of rank and
-# total. A chunk stops once its total is within `_GUARD` bits of its
-# drift bound, and a total of at most `_TAIL` bits is finished with
-# exact steps, which are then no dearer than windowed ones.
+# `_unrank_counts` decodes from a `_WINDOW`-bit fixed-point fraction of
+# rank over total, whose top 64 bits decide each cut. A chunk stops once
+# its float error bound comes within `_GUARD` bits of the window, so
+# _WINDOW - _GUARD must stay below 1024 for that bound to fit a float,
+# and _WINDOW above 64. A total of at most `_TAIL` bits is finished
+# with exact steps, which are then no dearer than windowed ones.
 _WINDOW = 768
 _GUARD = 32
 _TAIL = 2 * _WINDOW
@@ -317,151 +323,141 @@ def _unrank_counts(rank, counts, permutations):
 
     Caller guarantees 0 <= rank < permutations == multinomial(counts).
     Decoding runs from the top position down. With m symbols left and
-    x = rank/total, the symbol there is the one whose cumulative-count
-    interval holds cut = floor(x*m), found through a Fenwick descent;
-    then rank -= total*below/m and total = total*count/m. That is the
-    interval-narrowing step of arithmetic decoding, and it needs only
-    the leading bits of rank and total.
+    x = rank/total in [0, 1), the symbol there is the one whose
+    cumulative-count interval holds cut = floor(x*m); with `below`
+    symbols ranking under it and p copies of it left, x becomes
+    (x*m - below)/p, rank -= total*below/m and total = total*p/m. That
+    is the interval-narrowing step of arithmetic decoding. `pool` holds
+    the remaining symbol ranks in ascending order, so the symbol is
+    pool[cut], `below` is where its copies start, and deleting one copy
+    keeps the pool current. A cut that repeats the previous symbol
+    reuses its `below`: only copies of that symbol have left since.
 
-    So each chunk takes the top `_WINDOW` bits of both and decodes
-    from those, with a bound on how far they can have drifted from the
-    exact values. A symbol is accepted only when every value within
-    that bound gives the same cut, so no decision is ever wrong. Each
-    accepted symbol leaves a leaf (count, m, below); at the chunk's end
-    `_product_tree` reduces them to (P, Q, T), and one full-width
+    Deciding a symbol needs only the leading bits of x, so a chunk
+    carries X, a W-bit fixed-point fraction (W = `_WINDOW`), and a
+    float E, with the invariant |X - x*2^W| <= E:
+    - Start: with a and b the top W + 64 bits of rank and total,
+      X = floor(a*2^W/b), clamped below 2^W, and E = 3. a/b is within
+      2^-(W+62) of x, and flooring or clamping (x < 1) moves X by at
+      most 1 more.
+    - Cut: y = X*m is within E*m of x*m*2^W, and cut = floor(y/2^W).
+      The cut is taken only if its fraction f = y - cut*2^W lies at
+      least E*m inside [0, 2^W), where the ends of [0, m) do not count,
+      so every value the bound allows has the same cut: no decision is
+      ever wrong. The test reads f's top 64 bits against E*m rounded up
+      in units of 2^(W-64): it compares integers only, whatever their
+      type, and errs only towards a miss.
+    - Update: X' = floor((y - below*2^W)/p) and E' = E*m/p + 2, since
+      x' = (x*m - below)/p puts x'*2^W within E*m/p of
+      (y - below*2^W)/p, and flooring adds less than 1. The spare 1 per
+      step covers E's float rounding.
+
+    Each accepted symbol leaves a leaf (p, m, below); at the chunk's
+    end `_product_tree` reduces them to (P, Q, T), and one full-width
     division by Q applies rank -= total*T/Q and total = total*P/Q
-    exactly. A chunk ends after `_CHUNK` symbols, once its total comes
-    within `_GUARD` bits of the bound, or at a decision it cannot
-    certify, which is then taken as one exact full-width step. Once
-    total is at most `_TAIL` bits the block finishes with exact steps.
-    Cuts that stay in the previous symbol's interval skip the descent
-    and defer its tree updates, and a rank of 0 is the lowest
-    arrangement, written out directly.
+    exactly. A chunk ends after `_CHUNK` symbols, once E*m exceeds
+    2^(W - `_GUARD`), or at a cut it cannot certify, which is then
+    taken as one exact full-width step. Once total is at most `_TAIL`
+    bits the block finishes with exact steps, and a rank of 0 is the
+    lowest arrangement, written out directly.
 
-    An exact step whose symbol k likely starts a run, because the cut
-    repeated the previous symbol or k holds most of what remains, takes
+    An exact step whose symbol k likely starts a run, because it
+    repeats the previous symbol or holds most of what remains, takes
     the whole run at once: `_run_length` finds the longest J for which
     the top J positions are all k, and rank -= L_J, total = tot_J (see
     there) apply it exactly. A sparse page, short enough to step
     exactly throughout, then costs about one step per zero run instead
     of one per zero.
     """
-    t = len(counts)
     remaining = list(counts)
     m = sum(remaining)
     out = [0] * m
-    if m == 0:
-        return out
+    pool = []
+    for k, c in enumerate(remaining):
+        pool += [k] * c
     rank = mpz(rank)
     total = mpz(permutations)
-    tree = [0] * (t + 1)
-    for idx in range(1, t + 1):
-        tree[idx] += remaining[idx - 1]
-        parent = idx + (idx & -idx)
-        if parent <= t:
-            tree[parent] += tree[idx]
-    top = 1 << (t.bit_length() - 1)
-    # Symbol `run_k` owns cuts [run_lo, run_hi) and has `pending`
-    # decrements not yet in the tree, which do not move run_lo.
-    run_k = run_lo = pending = 0
-    run_hi = remaining[0]
-    certain = True
+    w = _WINDOW
+    low = w - 64  # the certainty test reads a fraction's top 64 bits
+    unit = 2.0 ** -low
+    full = (1 << 64) - 1
+    limit = float(1 << (w - _GUARD))
+    prev = below = -1  # the last symbol decided and where its copies start
+    missed = False
     while m:
         if not rank:  # lowest arrangement: ascending from the top down
-            for k, c in enumerate(remaining):
-                out[m - c:m] = [k] * c
-                m -= c
+            out[:m] = pool[::-1]
             break
         width = total.bit_length()
-        start = m
-        if width > _TAIL and certain:
-            shift = width - _WINDOW
-            r, tot = rank >> shift, total >> shift
+        if width > _TAIL and not missed:
+            start = m
+            ps, ts = [], []
+            shift = width - w - 64
+            # clamped, or rank P - 1, whose top bits can equal total's,
+            # would start every chunk on an uncertain cut
+            x = min((rank >> shift << w) // (total >> shift), (1 << w) - 1)
+            err = 3.0
             stop = max(m - _CHUNK, 0)
-            # After j steps r and tot are off rank and total over
-            # 2**shift by at most 1 + j(j+3)/2 and j + 1, so rem is off
-            # its exact value by less than m*(j+1)(j+4)/2. The margin
-            # bounds that, plus tot's own error, for the whole chunk.
-            margin = m * (_CHUNK + 2) ** 2
-            floor = margin << _GUARD
-        else:  # exact: one step after a miss, or the whole tail
-            shift = margin = floor = 0
-            r, tot = rank, total
-            stop = m - 1 if width > _TAIL else 0
-        certain = True
-        ps, ts = [], []
-        while m > stop and tot > floor:
-            cut, rem = divmod(r * m, tot)
-            if not 0 <= cut < m:  # drifted past either end; clamp
-                cut = 0 if cut < 0 else m - 1
-                rem = r * m - cut * tot
-            # this is the exact cut unless the drift could cross one
-            # of its boundaries; the ends of [0, m) cannot be crossed
-            if (cut and rem < margin) or (cut + 1 < m
-                                          and tot - rem <= margin):
-                certain = False
-                break
-            if run_lo <= cut < run_hi:
-                k = run_k
-                below = run_lo
-                pending += 1
-            else:
-                if pending:
-                    j = run_k + 1
-                    while j <= t:
-                        tree[j] -= pending
-                        j += j & -j
-                    pending = 0
-                # descend to the symbol, taking one from each node on
-                # its way down that covers it
-                k = 0
-                below = cut
-                bit = top
-                while bit:
-                    nxt = k + bit
-                    if nxt <= t:
-                        node = tree[nxt]
-                        if node <= below:
-                            below -= node
-                            k = nxt
-                        else:
-                            tree[nxt] = node - 1
-                    bit >>= 1
-                below = cut - below  # prefix count of ranks < k
-                run_k = k
-                run_lo = below
-                run_hi = below + remaining[k]
-            run_hi -= 1
+            while m > stop:
+                em = err * m
+                if em > limit:
+                    break
+                em = math.ceil(em * unit)  # in units of 2^low, rounded up
+                y = x * m
+                top = y >> low
+                cut = top >> 64
+                f = top - (cut << 64)  # the fraction's top 64 bits
+                # the cut is exact unless the error could cross one of
+                # its boundaries; the ends of [0, m) cannot be crossed
+                if (cut and f < em) or (cut < m - 1 and full - f < em):
+                    missed = True
+                    break
+                k = pool[cut]
+                p = remaining[k]
+                if k != prev:  # k's p copies hold cut, so start near it
+                    below = bisect_left(pool, k, cut - p + 1 if cut >= p
+                                        else 0, cut)
+                    prev = k
+                del pool[below]
+                remaining[k] = p - 1
+                ps.append(p)
+                ts.append(below)
+                x = (y - (below << w)) // p
+                err = err * m / p + 2
+                m -= 1
+                out[m] = k
+            if ps:
+                # rank -= total*T/Q and total = total*P/Q, both exact
+                p, q, t_sum = _product_tree(ps, list(range(start, m, -1)), ts)
+                whole, part = divmod(total, q)
+                rank -= whole * t_sum + part * t_sum // q
+                total = whole * p + part * p // q
+            continue
+        # exact: one step after a miss, or the whole tail
+        missed = False
+        stop = m - 1 if width > _TAIL else 0
+        while m > stop:
+            k = pool[rank * m // total]
+            repeat = k == prev
+            if not repeat:
+                below = bisect_left(pool, k)
+                prev = k
             p = remaining[k]
-            if not shift and p > 1 and (pending or 2 * p > m):
-                # a run is likely (`pending`: the cut repeated the
-                # previous symbol): take all of k's top positions at once
-                j, tot_j = _run_length(r, tot, m, p, below)
+            if p > 1 and (repeat or 2 * p > m):
+                # a run is likely: take all of k's top positions at once
+                j, tot_j = _run_length(rank, total, m, p, below)
                 if below:  # L_J; below is 0 where m == p
-                    r -= below * (tot - tot_j) // (m - p)
-                tot = tot_j
-                remaining[k] = p - j
-                pending += j - 1
-                run_hi -= j - 1
-                out[m - j:m] = [k] * j
-                m -= j
-                continue
-            remaining[k] = p - 1
-            ps.append(p)
-            ts.append(below)
-            if below:
-                r -= tot * below // m
-            tot = tot * p // m
-            m -= 1
-            out[m] = k
-        if not shift:
-            rank, total = r, tot
-        elif ps:
-            # rank -= total*T/Q and total = total*P/Q, both exact
-            p, q, t_sum = _product_tree(ps, list(range(start, m, -1)), ts)
-            whole, part = divmod(total, q)
-            rank -= whole * t_sum + part * t_sum // q
-            total = whole * p + part * p // q
+                    rank -= below * (total - tot_j) // (m - p)
+                total = tot_j
+            else:
+                j = 1
+                if below:
+                    rank -= total * below // m
+                total = total * p // m
+            remaining[k] = p - j
+            del pool[below:below + j]
+            out[m - j:m] = [k] * j
+            m -= j
     assert rank == 0
     return out
 

@@ -72,11 +72,19 @@ class _ByteReader:
         self.consumed += size
         return b"".join(parts)
 
+    def byte(self, what: str) -> int:
+        """One byte as an int: varints and symbol ids are read this way."""
+        chunk = self._fp.read(1)
+        if not chunk:
+            raise ArchiveError(f"truncated archive while reading {what}")
+        self.consumed += 1
+        return chunk[0]
+
     def varint(self, what: str) -> int:
         value = 0
         shift = 0
         while True:
-            byte = self.exact(1, what)[0]
+            byte = self.byte(what)
             group = byte & 0x7F
             value |= group << shift
             if not byte & 0x80:
@@ -269,7 +277,7 @@ def _read_block_table(reader, n, index, max_symbol):
     previous = -1
     total = 0
     for _ in range(distinct):
-        symbol = reader.exact(1, what)[0]
+        symbol = reader.byte(what)
         if symbol <= previous:
             raise ArchiveError(f"{what}: symbol entries not strictly ascending")
         if symbol > max_symbol:
@@ -368,7 +376,7 @@ def decompress(src, dst):
     reader = _ByteReader(src)
     if reader.exact(4, "archive magic") != MAGIC:
         raise ArchiveError("bad magic: not a CBE archive")
-    mode = reader.exact(1, "archive mode")[0]
+    mode = reader.byte("archive mode")
     if mode not in (MODE_BYTE, MODE_BIT):
         raise ArchiveError(f"unknown mode byte 0x{mode:02x}")
 

@@ -472,6 +472,69 @@ class TestChunkedUnrank:
         assert min(widths) < _TAIL < max(widths)
 
 
+class TestWindowedUnrank:
+    """A windowed chunk carries rank/total as a fixed-point fraction X
+    with an error bound E, and takes a cut only when no value within E
+    could give another; a narrow window puts short blocks through many
+    chunks, so their boundary ranks meet that test at every width."""
+
+    @pytest.fixture
+    def narrow(self, monkeypatch):
+        monkeypatch.setattr(codec, "_WINDOW", 128)
+        monkeypatch.setattr(codec, "_TAIL", 256)
+
+    @staticmethod
+    def _blocks():
+        for seed, size in enumerate((40, 77, 130, 211, 300)):
+            rng = random.Random(seed)
+            data = rng.randbytes(size)
+            yield data
+            yield _unrank_block("text", seed, size)
+            yield bytes(sorted(data))
+            yield b"".join(bytes([rng.randrange(4)]) * rng.randrange(1, 6)
+                           for _ in range(size))[:size]
+
+    def test_roundtrip(self, narrow):
+        for data in self._blocks():
+            rank, table = encode(data, BYTE_ALPHABET)
+            assert bytes(decode(rank, table)) == data
+
+    def test_boundary_ranks(self, narrow):
+        checked = 0
+        widths = []
+        for data in self._blocks():
+            _, table = encode(data, BYTE_ALPHABET)
+            permutations = permutation_count(table)
+            widths.append(permutations.bit_length())
+            ranks = {0, 1, permutations - 2, permutations - 1}
+            for boundary in _first_cut_boundaries(table):
+                ranks.update((boundary - 1, boundary, boundary + 1))
+            for rank in ranks:
+                _assert_unranks(rank, table)
+            checked += len(ranks)
+        assert min(widths) < codec._TAIL < max(widths)
+        assert checked > 3000
+
+    @pytest.mark.parametrize("kind", ["random", "sorted"])
+    def test_windows_decide_most_symbols(self, kind, monkeypatch):
+        # each windowed chunk folds its decisions as one product tree's
+        # leaves; a miss at every chunk's first cut would leave the block
+        # to full-width exact steps, right but several times slower. A
+        # sorted block has rank P - 1, where the fraction starts at its
+        # top end and must be clamped below 1 to give a certain cut.
+        data = _unrank_block(kind, seed=13)
+        rank, table = encode(data, BYTE_ALPHABET)
+        if kind == "sorted":
+            assert rank == permutation_count(table) - 1
+        leaves = []
+        tree = codec._product_tree
+        monkeypatch.setattr(codec, "_product_tree",
+                            lambda ps, qs, ts: leaves.append(len(ps))
+                            or tree(ps, qs, ts))
+        assert bytes(decode(rank, table)) == data
+        assert sum(leaves) >= 0.9 * len(data)
+
+
 def _run_block(kind, size, seed):
     """Blocks with long runs, for the unranker's one-step run rule."""
     rng = random.Random(seed)
