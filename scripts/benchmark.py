@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Throughput and bound-tightness report for the block codec.
+"""Cold-start, throughput and bound-tightness report for the block codec.
 
-Times compress/decompress over synthetic corpora, with decode time over
-encode time (above 1 where decode is the slower half), and shows how
-close the payload lands to the entropy total per corpus:
+First times fresh `-E -s` interpreters: a bare one, one that imports
+cbe, and `python -m cbe compress` on empty stdin, each the median of
+11 runs. Then times compress/decompress over synthetic corpora, with
+decode time over encode time (above 1 where decode is the slower half),
+and shows how close the payload lands to the entropy total per corpus:
 
     python scripts/benchmark.py
     python scripts/benchmark.py --size 4194304 --block-size 8192
@@ -12,8 +14,13 @@ close the payload lands to the entropy total per corpus:
 import argparse
 import io
 import random
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import cbe
 from cbe.container import MODE_BIT, MODE_BYTE, compress, decompress
 from cbe.multiset import (
     BIT_ALPHABET,
@@ -22,6 +29,28 @@ from cbe.multiset import (
     build_frequency_table,
     message_stats,
 )
+
+
+COLD_START_RUNS = 11
+
+
+def cold_start_ms(args):
+    """Median wall time, in ms, of a fresh interpreter run with `args`.
+
+    The interpreter starts with -E -s, so neither the environment nor
+    the user's site directory changes what it loads, and it runs beside
+    the cbe package being measured, with empty stdin and output
+    discarded.
+    """
+    package_dir = Path(cbe.__file__).resolve().parent.parent
+    times = []
+    for _ in range(COLD_START_RUNS):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-E", "-s", *args], cwd=package_dir,
+                       stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                       check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
 
 
 def corpora(size, seed, block_bytes):
@@ -101,6 +130,12 @@ def main():
     args = parser.parse_args()
     mode = MODE_BYTE if args.mode == "byte" else MODE_BIT
 
+    print(
+        f"cold start, median of {COLD_START_RUNS} fresh interpreters:"
+        f"  python {cold_start_ms(['-c', 'pass']):.1f} ms"
+        f"  import cbe {cold_start_ms(['-c', 'import cbe']):.1f} ms"
+        f"  cbe compress of empty stdin {cold_start_ms(['-m', 'cbe', 'compress']):.1f} ms"
+    )
     print(f"size={args.size} block_size={args.block_size} mode={args.mode}")
     block_bytes = args.block_size if mode == MODE_BYTE else -(-args.block_size // 8)
     for name, data in corpora(args.size, args.seed, block_bytes):

@@ -11,7 +11,7 @@ import functools
 import sys
 from contextlib import contextmanager
 
-from . import container, selftest
+from . import container
 from .codec import RankRangeError, decode, encode
 from .container import ArchiveError, DEFAULT_BLOCK_SIZE, summarize
 from .multiset import (
@@ -202,6 +202,8 @@ def run_unrank(args: argparse.Namespace) -> int:
 
 
 def run_selftest(args: argparse.Namespace) -> int:
+    from . import selftest  # its vectors and oracle load only for this command
+
     results = selftest.run_all()
     for result in results:
         if result.passed:

@@ -22,11 +22,10 @@ significant bit first, so byte k contributes arrival positions
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .binomials import multinomial
 from .codec import _rank_bit_string, _rank_message, _unrank_bits, _unrank_counts
-from .multiset import BYTE_ALPHABET, log2_arrangements, rank_width_bits
+from .multiset import BYTE_ALPHABET, FrozenRecord, log2_arrangements, rank_width_bits
 
 MAGIC = b"CBE1"
 MODE_BYTE = 0x01
@@ -57,7 +56,6 @@ class _ByteReader:
 
     def __init__(self, fp):
         self._fp = fp
-        self.consumed = 0
 
     def exact(self, size: int, what: str) -> bytes:
         parts = []
@@ -69,7 +67,6 @@ class _ByteReader:
                 raise ArchiveError(f"truncated archive while reading {what}")
             parts.append(chunk)
             need -= len(chunk)
-        self.consumed += size
         return b"".join(parts)
 
     def byte(self, what: str) -> int:
@@ -77,7 +74,6 @@ class _ByteReader:
         chunk = self._fp.read(1)
         if not chunk:
             raise ArchiveError(f"truncated archive while reading {what}")
-        self.consumed += 1
         return chunk[0]
 
     def varint(self, what: str) -> int:
@@ -96,15 +92,17 @@ class _ByteReader:
                 raise ArchiveError(f"varint too long in {what}")
 
 
-@dataclass(frozen=True)
-class ArchiveSummary:
+class ArchiveSummary(FrozenRecord):
     """Size accounting returned by `compress` and `summarize`."""
 
-    blocks: int
-    symbols: int
-    payload_bits: int
-    payload_bytes: int
-    overhead_bytes: int
+    __slots__ = _fields = (
+        "blocks", "symbols", "payload_bits", "payload_bytes", "overhead_bytes",
+    )
+
+    def __init__(self, blocks: int, symbols: int, payload_bits: int,
+                 payload_bytes: int, overhead_bytes: int):
+        self._set_fields(blocks, symbols, payload_bits, payload_bytes,
+                         overhead_bytes)
 
     @property
     def total_bytes(self) -> int:

@@ -3,9 +3,51 @@ used to size and judge encoded ranks."""
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 
 from .binomials import multinomial
+
+
+class FrozenRecord:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields in `_fields`, stores them with
+    `_set_fields` in `__init__`, and gets equality (with its own type
+    only), hashing and a repr over those fields, in that order. Its
+    fields cannot be assigned or deleted afterwards. Copies and pickles
+    rebuild it by passing the field values to `__init__`; a subclass
+    whose `__init__` takes other arguments overrides `__reduce__`.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set_fields(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class UnknownSymbolError(ValueError):
@@ -18,8 +60,7 @@ class UnknownSymbolError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(FrozenRecord):
     """Ordered set of distinct unsigned symbol identifiers.
 
     Symbols are kept in ascending order and a symbol's position is its
@@ -27,10 +68,11 @@ class Alphabet:
     produces.
     """
 
-    symbols: tuple
+    __slots__ = ("symbols", "_ranks")
+    _fields = ("symbols",)
 
-    def __post_init__(self):
-        ordered = tuple(sorted(self.symbols))
+    def __init__(self, symbols: tuple):
+        ordered = tuple(sorted(symbols))
         if not ordered:
             raise ValueError("alphabet must contain at least one symbol")
         for s in ordered:
@@ -39,7 +81,7 @@ class Alphabet:
         for a, b in zip(ordered, ordered[1:]):
             if a == b:
                 raise ValueError(f"duplicate symbol {a!r}")
-        object.__setattr__(self, "symbols", ordered)
+        self._set_fields(ordered)
         object.__setattr__(self, "_ranks", {s: i for i, s in enumerate(ordered)})
 
     def __len__(self):
@@ -64,25 +106,27 @@ BYTE_ALPHABET = Alphabet(tuple(range(256)))
 BIT_ALPHABET = Alphabet((0, 1))
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Per-symbol occurrence counts; the decoder's side information."""
+class FrequencyTable(FrozenRecord):
+    """Per-symbol occurrence counts; the decoder's side information.
 
-    alphabet: Alphabet
-    counts: tuple
-    n: int = field(init=False)
+    `n`, the number of symbols counted, is derived from the counts.
+    """
 
-    def __post_init__(self):
-        counts = tuple(self.counts)
-        if len(counts) != len(self.alphabet):
+    __slots__ = _fields = ("alphabet", "counts", "n")
+
+    def __init__(self, alphabet: Alphabet, counts: tuple):
+        counts = tuple(counts)
+        if len(counts) != len(alphabet):
             raise ValueError(
-                f"{len(counts)} counts for {len(self.alphabet)} symbols"
+                f"{len(counts)} counts for {len(alphabet)} symbols"
             )
         for c in counts:
             if not isinstance(c, int) or c < 0:
                 raise ValueError(f"count {c!r} is not a nonnegative integer")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", sum(counts))
+        self._set_fields(alphabet, counts, sum(counts))
+
+    def __reduce__(self):
+        return FrequencyTable, (self.alphabet, self.counts)
 
     @property
     def t_effective(self) -> int:
@@ -187,18 +231,27 @@ def space_saving_percent(uncompressed_bits: float, compressed_bits: float) -> fl
     return (1.0 - compressed_bits / uncompressed_bits) * 100.0
 
 
-@dataclass(frozen=True)
-class MessageStats:
+class MessageStats(FrozenRecord):
     """Size accounting for one message/table."""
 
-    n: int
-    t_effective: int
-    entropy_bits_per_symbol: float
-    shannon_total_bits: float
-    rank_bound_bits_real: float
-    naive_bits: float
-    compression_ratio: float
-    space_saving_percent: float
+    __slots__ = _fields = (
+        "n",
+        "t_effective",
+        "entropy_bits_per_symbol",
+        "shannon_total_bits",
+        "rank_bound_bits_real",
+        "naive_bits",
+        "compression_ratio",
+        "space_saving_percent",
+    )
+
+    def __init__(self, n: int, t_effective: int,
+                 entropy_bits_per_symbol: float, shannon_total_bits: float,
+                 rank_bound_bits_real: float, naive_bits: float,
+                 compression_ratio: float, space_saving_percent: float):
+        self._set_fields(n, t_effective, entropy_bits_per_symbol,
+                         shannon_total_bits, rank_bound_bits_real, naive_bits,
+                         compression_ratio, space_saving_percent)
 
 
 def message_stats(table: FrequencyTable) -> MessageStats:

@@ -8,12 +8,12 @@ seeded tables on every run, so output is identical across runs.
 
 import math
 import random
-from dataclasses import dataclass
 
 from . import codec, oracle
 from .multiset import (
     Alphabet,
     FrequencyTable,
+    FrozenRecord,
     permutation_count,
     shannon_entropy,
 )
@@ -53,11 +53,13 @@ ENTROPY_SWEEP_SEED = 0x5EED
 ENTROPY_SWEEP_TRIALS = 1000
 
 
-@dataclass
-class GroupResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class GroupResult(FrozenRecord):
+    """Outcome of one check group; `detail` says what failed."""
+
+    __slots__ = _fields = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self._set_fields(name, passed, detail)
 
 
 def _check_worked_numeral() -> GroupResult:

@@ -1,7 +1,12 @@
 """Shared test helpers."""
 
+import copy
+import pickle
 from functools import cache
 from math import factorial, prod
+from types import SimpleNamespace
+
+import pytest
 
 from cbe import Alphabet, FrequencyTable
 
@@ -27,3 +32,36 @@ def factorial_multinomial(counts) -> int:
 @cache
 def _factorial(n: int) -> int:
     return factorial(n)
+
+
+def check_frozen_record(record, equal, unequal, fields: dict):
+    """Equality, hashing, immutability, copy and pickle of a record.
+
+    `equal` is built apart from `record` with the same field values,
+    `unequal` differs from it in one field, and `fields` maps each field
+    name to its value in `record`, in declaration order.
+    """
+    assert record == equal and not record != equal
+    assert hash(record) == hash(equal)
+    assert {equal: "found"}[record] == "found"
+    assert record != unequal
+    # equal only to its own type: not to its values as a tuple, nor to
+    # another object with the same attributes
+    values = tuple(fields.values())
+    assert record != values and values != record
+    assert record != SimpleNamespace(**fields)
+    for name, value in fields.items():
+        assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+    clones = [copy.copy(record), copy.deepcopy(record)]
+    clones += [pickle.loads(pickle.dumps(record, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for clone in clones:
+        assert type(clone) is type(record)
+        assert clone == record and hash(clone) == hash(record)
+        assert repr(clone) == repr(record)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cbe.codec import encode
 from cbe.container import (
     ArchiveError,
+    ArchiveSummary,
     MODE_BIT,
     MODE_BYTE,
     compress,
@@ -27,14 +28,15 @@ from cbe.container import (
 )
 from cbe.binomials import multinomial
 from cbe.multiset import BIT_ALPHABET, rank_width_bits
+from helpers import check_frozen_record
 
 BANANA_ARCHIVE = bytes.fromhex("43424531010603610362016e02011600")
 
 
 def read_varint(data: bytes):
     """(value, bytes consumed) for the varint at the start of `data`."""
-    reader = _ByteReader(io.BytesIO(data))
-    return reader.varint("varint"), reader.consumed
+    fp = io.BytesIO(data)
+    return _ByteReader(fp).varint("varint"), fp.tell()
 
 
 class TestVarint:
@@ -52,10 +54,11 @@ class TestVarint:
             write_varint(-1)
 
     def test_offset(self):
-        # a varint after other bytes; consumed counts from the start
-        reader = _ByteReader(io.BytesIO(b"\xff" + write_varint(300)))
+        # a varint after other bytes; the position counts from the start
+        fp = io.BytesIO(b"\xff" + write_varint(300))
+        reader = _ByteReader(fp)
         reader.exact(1, "lead byte")
-        assert (reader.varint("varint"), reader.consumed) == (300, 3)
+        assert (reader.varint("varint"), fp.tell()) == (300, 3)
 
     def test_truncated(self):
         with pytest.raises(ArchiveError):
@@ -106,6 +109,19 @@ class TestByteModeFraming:
         assert summary.payload_bits == 6
         assert summary.payload_bytes == 1
         assert summary.total_bytes == len(out.getvalue())
+
+    def test_summary_record(self):
+        fields = {"blocks": 1, "symbols": 6, "payload_bits": 6,
+                  "payload_bytes": 1, "overhead_bytes": 15}
+        summary = compress(io.BytesIO(b"banana"), io.BytesIO())
+        assert summary == ArchiveSummary(*fields.values())
+        assert summary == ArchiveSummary(**fields)
+        assert repr(summary) == (
+            "ArchiveSummary(blocks=1, symbols=6, payload_bits=6, "
+            "payload_bytes=1, overhead_bytes=15)"
+        )
+        check_frozen_record(summary, ArchiveSummary(**fields),
+                            ArchiveSummary(**{**fields, "blocks": 2}), fields)
 
     def test_constant_block_has_empty_payload(self):
         archive = compress_bytes(b"\x55" * 5000)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -9,6 +11,7 @@ from cbe.multiset import (
     Alphabet,
     BYTE_ALPHABET,
     FrequencyTable,
+    MessageStats,
     UnknownSymbolError,
     build_frequency_table,
     compression_ratio,
@@ -20,7 +23,7 @@ from cbe.multiset import (
     shannon_entropy,
     space_saving_percent,
 )
-from helpers import char_table, table_of
+from helpers import char_table, check_frozen_record, table_of
 
 # sum <= 256, at least two nonzero counts
 bounded_tables = st.lists(st.integers(1, 16), min_size=2, max_size=16).map(
@@ -272,3 +275,56 @@ class TestMessageStats:
             stats.space_saving_percent,
         ):
             assert field_value >= 0
+
+
+class TestRecords:
+    """What callers see of the record types: construction, equality,
+    hashing, repr, immutability, copy and pickle."""
+
+    def test_alphabet(self):
+        alpha = Alphabet((110, 97, 98))
+        assert Alphabet(symbols=(97, 98, 110)) == alpha
+        assert repr(alpha) == "Alphabet(symbols=(97, 98, 110))"
+        check_frozen_record(alpha, Alphabet((98, 110, 97)), Alphabet((97, 98)),
+                            {"symbols": (97, 98, 110)})
+        for clone in (copy.copy(alpha), pickle.loads(pickle.dumps(alpha))):
+            assert clone.rank_of(110) == 2 and 98 in clone and len(clone) == 3
+
+    def test_frequency_table(self):
+        alpha = Alphabet((0, 1, 2))
+        table = FrequencyTable(alpha, (3, 1, 2))
+        assert FrequencyTable(alphabet=alpha, counts=[3, 1, 2]) == table
+        # n is derived from the counts, never passed
+        with pytest.raises(TypeError):
+            FrequencyTable(alpha, (3, 1, 2), 6)
+        with pytest.raises(TypeError):
+            FrequencyTable(alpha, (3, 1, 2), n=6)
+        assert repr(table) == (
+            "FrequencyTable(alphabet=Alphabet(symbols=(0, 1, 2)), "
+            "counts=(3, 1, 2), n=6)"
+        )
+        check_frozen_record(table, table_of(3, 1, 2), table_of(3, 2, 1),
+                            {"alphabet": alpha, "counts": (3, 1, 2), "n": 6})
+
+    def test_message_stats(self):
+        fields = {
+            "n": 6,
+            "t_effective": 3,
+            "entropy_bits_per_symbol": 1.5,
+            "shannon_total_bits": 9.0,
+            "rank_bound_bits_real": 5.5,
+            "naive_bits": 9.5,
+            "compression_ratio": 1.25,
+            "space_saving_percent": 5.0,
+        }
+        stats = MessageStats(*fields.values())
+        assert MessageStats(**fields) == stats
+        assert repr(stats) == (
+            "MessageStats(n=6, t_effective=3, entropy_bits_per_symbol=1.5, "
+            "shannon_total_bits=9.0, rank_bound_bits_real=5.5, naive_bits=9.5, "
+            "compression_ratio=1.25, space_saving_percent=5.0)"
+        )
+        check_frozen_record(stats, MessageStats(**fields),
+                            MessageStats(**{**fields, "n": 7}), fields)
+        with pytest.raises(TypeError):
+            MessageStats(*list(fields.values())[:-1])

@@ -21,6 +21,17 @@ def test_run_all_is_deterministic():
     assert first == second
 
 
+def test_group_result_record():
+    result = selftest.GroupResult("entropy-bound-sweep", False, "trial 3")
+    assert result == selftest.GroupResult(
+        name="entropy-bound-sweep", passed=False, detail="trial 3")
+    assert selftest.GroupResult("x", True).detail == ""
+    assert repr(selftest.GroupResult("x", True)) == (
+        "GroupResult(name='x', passed=True, detail='')")
+    assert result != selftest.GroupResult("entropy-bound-sweep", True, "trial 3")
+    assert result != ("entropy-bound-sweep", False, "trial 3")
+
+
 def test_reference_table_shape():
     assert len(selftest.BANANA_RANKING) == 60
     assert len(set(selftest.BANANA_RANKING)) == 60
