@@ -16,11 +16,16 @@ Encoding is adaptive and single-pass: each arrival is charged the
 number of arrangements of the prefix seen so far that would sort below
 it. No symbol statistics are needed up front; the counts accumulated
 during the pass are exactly the side information the decoder requires.
-`encode` tallies the message run by run, turns each run into one term
-of a rational series, and sums every few hundred arrivals' terms at
-once with a product tree (binary splitting, after Haible and
-Papanikolaou), folding each partial sum into the rank with exact
-divisions; the last fold also yields the block's arrangement count.
+`encode` tallies the message run by run and turns each run into one
+term of a rational series. While the arrangement count is short it
+adds each term to the rank in one exact step; once it is wider, it
+sums every few hundred arrivals' terms at once with a product tree
+(binary splitting, after Haible and Papanikolaou), folding each partial
+sum into the rank with exact divisions. The last step or fold also
+yields the block's arrangement count.
+
+Both directions follow one width rule: exact steps while the
+arrangement count is at most `_TAIL` bits, product-tree folds above it.
 
 `decode` walks back from the top position down. Each of its steps is
 the interval-narrowing step of arithmetic decoding (Witten, Neal and
@@ -50,7 +55,6 @@ them for bit lists.
 """
 
 import math
-import re
 from bisect import bisect_left
 from itertools import groupby
 
@@ -58,9 +62,10 @@ from .binomials import mpz, multinomial
 from .multiset import Alphabet, FrequencyTable, UnknownSymbolError
 
 
-# Arrivals per product tree in `encode`. Larger trees multiply numbers
-# far bigger than the rank on sparse blocks; smaller ones pay more
-# full-width divisions.
+# Arrivals per product tree once the arrangement count is wider than
+# `_TAIL`. Larger trees multiply ever wider products, of which only the
+# ratio P/Q reaches the rank; smaller ones pay more full-width
+# divisions.
 _CHUNK = 512
 
 # `_unrank_counts` decodes from a `_WINDOW`-bit fixed-point fraction of
@@ -68,15 +73,18 @@ _CHUNK = 512
 # its float error bound comes within `_GUARD` bits of the window, so
 # _WINDOW - _GUARD must stay below 1024 for that bound to fit a float,
 # and _WINDOW above 64. A total of at most `_TAIL` bits is finished
-# with exact steps, which are then no dearer than windowed ones.
+# with exact steps, which are then no dearer than windowed ones, and
+# `_rank_message` steps exactly while its count is that narrow.
 _WINDOW = 768
 _GUARD = 32
 _TAIL = 2 * _WINDOW
 _LN2 = math.log(2)  # `_ln` scales wide values by powers of two
 
 # `_rank_bit_string` matches a zero run, maybe empty, and the one run
-# after it at a time; `encode_binary` spells bits out with `_BIT_CHARS`.
-_RUNS = re.compile("(0*)(1+)")
+# after it at a time with `_runs`, compiled on first use so that
+# importing the codec does not load `re`; `encode_binary` spells bits
+# out with `_BIT_CHARS`.
+_runs = None
 _BIT_CHARS = {0: "0", 1: "1"}
 
 
@@ -136,11 +144,15 @@ def _rank_bit_string(s):
     divide however long it is. Runs are matched a zero run and the
     following one run at a time, which halves the loop's trips.
     """
+    global _runs
+    if _runs is None:
+        import re
+        _runs = re.compile("(0*)(1+)").findall
     rank = mpz(0)
     coeff = mpz(1)
     ones = 0
     i = 0
-    for zero_run, one_run in _RUNS.findall(s):
+    for zero_run, one_run in _runs(s):
         r = len(zero_run)
         if r:
             i += r
@@ -227,50 +239,85 @@ def _rank_message(message, alphabet):
     i with s of them seen before and b arrivals below them, is tallied
     once and becomes one leaf (P, Q, T) = (perm(i+r, r), perm(s+r, r),
     b*(P - Q)/(i - s)): its r terms telescope, and i - s divides P - Q.
-    A run that only extends an all-equal prefix adds nothing. Every
-    `_CHUNK` arrivals a product tree reduces the pending leaves and they
-    are folded into the rank with exact divisions, which keeps the
-    numbers near the size of the rank itself. The last fold carries M
-    to M_n, the block's arrangement count P.
+    The first run adds nothing; runs are maximal, so every later one
+    has s < i.
+
+    The kernel follows `_unrank_counts`' width rule. While M is at most
+    `_TAIL` bits, each run is one exact step, rank += M*T/Q and
+    M = M*P/Q: every term counts arrangements, so both divisions are
+    exact. Once M is wider, the leaves are gathered, and every `_CHUNK`
+    arrivals a product tree reduces them and they are folded into the
+    rank with exact divisions, which keeps the numbers near the size of
+    the rank itself. The last step or fold carries M to M_n, the
+    block's arrangement count P. A block whose count stays within
+    `_TAIL` bits, such as a 4 KiB page with 3% nonzero bytes, builds no
+    tree.
     """
     ranks = alphabet.rank_map
     counts = [0] * len(alphabet)
     coarse = [0] * ((len(alphabet) + 15) >> 4)  # arrivals per 16 ranks
-    prefix = mpz(1)  # M at the start of the pending chunk
+    prefix = mpz(1)  # M, or M at the start of the pending chunk once wide
     rank = mpz(0)
-    ps, qs, ts = [], [], []
     i = 0
-    fold_at = _CHUNK
-    for symbol, run in groupby(message):
+    runs = groupby(message)
+    for symbol, run in runs:  # exact steps while M is narrow
         k = ranks.get(symbol)
         if k is None:
             raise UnknownSymbolError(symbol, i)
         r = len(list(run))
         s = counts[k]
         hi = k >> 4
-        if s != i:  # a run extending an all-k prefix is the identity leaf
+        if i:  # the first run is the identity
             # arrivals below k: whole groups of 16 ranks, then k's group
             b = sum(coarse[:hi]) + sum(counts[hi << 4:k])
             if r == 1:
-                ps.append(i + 1)
-                qs.append(s + 1)
-                ts.append(b)
+                if not s:  # a first copy: both divisions are by 1
+                    rank += prefix * b
+                    prefix *= i + 1
+                else:
+                    if b:
+                        rank += prefix * b // (s + 1)
+                    prefix = prefix * (i + 1) // (s + 1)
             else:
                 p = math.perm(i + r, r)
                 q = math.perm(s + r, r)
-                ps.append(p)
-                qs.append(q)
-                ts.append(b * (p - q) // (i - s))
+                if b:
+                    rank += prefix * (b * (p - q) // (i - s)) // q
+                prefix = prefix * p // q
+        counts[k] = s + r
+        coarse[hi] += r
+        i += r
+        if prefix.bit_length() > _TAIL:
+            break
+    ps, qs, ts = [], [], []
+    fold_at = i + _CHUNK
+    for symbol, run in runs:  # wide: leaves folded every `_CHUNK` arrivals
+        k = ranks.get(symbol)
+        if k is None:
+            raise UnknownSymbolError(symbol, i)
+        r = len(list(run))
+        s = counts[k]
+        hi = k >> 4
+        b = sum(coarse[:hi]) + sum(counts[hi << 4:k])
+        if r == 1:
+            ps.append(i + 1)
+            qs.append(s + 1)
+            ts.append(b)
+        else:
+            p = math.perm(i + r, r)
+            q = math.perm(s + r, r)
+            ps.append(p)
+            qs.append(q)
+            ts.append(b * (p - q) // (i - s))
         counts[k] = s + r
         coarse[hi] += r
         i += r
         if i >= fold_at:
-            if ps:
-                p, q, t = _product_tree(ps, qs, ts)
-                if t:
-                    rank += prefix * t // q
-                prefix = prefix * p // q
-                ps, qs, ts = [], [], []
+            p, q, t = _product_tree(ps, qs, ts)
+            if t:
+                rank += prefix * t // q
+            prefix = prefix * p // q
+            ps, qs, ts = [], [], []
             fold_at = i + _CHUNK
     if ps:
         p, q, t = _product_tree(ps, qs, ts)

@@ -30,7 +30,7 @@ from cbe.multiset import (
     UnknownSymbolError,
     permutation_count,
 )
-from cbe.oracle import enumerate_in_rank_order
+from cbe.oracle import brute_rank, enumerate_in_rank_order
 from helpers import factorial_multinomial, table_of
 
 ABN = Alphabet((97, 98, 110))
@@ -272,9 +272,30 @@ class TestBitRunKernel:
         assert _unrank_bits(0, 0, 0) == 0
 
 
+def _sparse_page(rng, size):
+    """A page of zeros with 3% nonzero bytes."""
+    block = bytearray(size)
+    for i in rng.sample(range(size), size * 3 // 100):
+        block[i] = rng.randrange(1, 256)
+    return bytes(block)
+
+
+def _just_above_tail(extra=5):
+    """Random bytes whose arrangement count first passes `_TAIL` bits
+    `extra` arrivals before the end."""
+    data = random.Random(15).randbytes(400)
+    counts = [0] * 256
+    for n, byte in enumerate(data, 1):
+        counts[byte] += 1
+        if factorial_multinomial(counts).bit_length() > _TAIL:
+            return data[:n + extra]
+    raise AssertionError("never passed the tail")
+
+
 class TestRankMessageCount:
     """`encode`'s kernel returns the rank and counts `encode` does, and
-    its P is the table's arrangement count, across chunk folds too."""
+    its P is the table's arrangement count, across the switch from
+    exact steps to chunk folds too."""
 
     @pytest.mark.parametrize("block", [
         b"", b"a", b"\x00" * 4096, bytes(range(256)) * 4,
@@ -282,13 +303,40 @@ class TestRankMessageCount:
         bytes(sorted(random.Random(12).randbytes(4096), reverse=True)),
         b"\x05" * 600 + random.Random(13).randbytes(600),
         random.Random(14).randbytes(9000),
+        _sparse_page(random.Random(16), 4096),
+        _just_above_tail(),
     ], ids=["empty", "one-symbol", "constant", "ascending-cycles", "sorted",
-            "reverse-sorted", "constant-prefix", "random-9000"])
+            "reverse-sorted", "constant-prefix", "random-9000", "sparse",
+            "just-above-tail"])
     def test_count_matches_factorials(self, block):
         rank, counts, permutations = _rank_message(block, BYTE_ALPHABET)
         want, table = encode(block, BYTE_ALPHABET)
         assert (rank, tuple(counts)) == (want, table.counts)
         assert permutations == factorial_multinomial(counts)
+
+    def test_just_above_tail_is_just_above(self):
+        permutations = _rank_message(_just_above_tail(), BYTE_ALPHABET)[2]
+        assert _TAIL < permutations.bit_length() <= _TAIL + 64
+
+    @pytest.mark.parametrize("kind", ["sparse", "random"])
+    def test_product_trees_built(self, kind, monkeypatch):
+        # a sparse page stays narrow enough to step exactly throughout;
+        # a random block folds at most one tree per chunk
+        rng = random.Random(17)
+        block = (_sparse_page(rng, 4096) if kind == "sparse"
+                 else rng.randbytes(4096))
+        want = encode(block, BYTE_ALPHABET)[0]
+        trees = []
+        tree = codec._product_tree
+        monkeypatch.setattr(codec, "_product_tree",
+                            lambda *leaves: trees.append(1) or tree(*leaves))
+        rank, counts, permutations = _rank_message(block, BYTE_ALPHABET)
+        assert rank == want
+        assert permutations == factorial_multinomial(counts)
+        if kind == "sparse":
+            assert trees == []
+        else:
+            assert 1 <= len(trees) <= -(-len(block) // codec._CHUNK)
 
 
 def literal_weight(counts, rank):
@@ -338,13 +386,15 @@ def _run_sequence(rng, symbols, length):
 
 
 class TestChunkBoundaries:
-    """encode folds a product tree every few hundred arrivals; ranks of
-    prefixes ending on either side of those folds match the factorial
-    weights."""
+    """Once the arrangement count is wider than `_TAIL`, encode folds a
+    product tree every few hundred arrivals; ranks of prefixes ending on
+    either side of those folds match the factorial weights. With the
+    tail at 0 the folds start after the first run; at the default the
+    switch itself falls between 480 and 1080 arrivals in."""
 
     PREFIXES = (1, 511, 512, 513, 1023, 1024, 1025, 1100)
 
-    def test_50_sequences_against_factorials(self):
+    def test_50_sequences_against_factorials(self, monkeypatch):
         rng = random.Random(2718)
         for case in range(50):
             t = (3, 17, 256)[case % 3]
@@ -361,11 +411,66 @@ class TestChunkBoundaries:
                 total += literal_weight(counts, k)
                 counts[k] += 1
                 weights[i + 1] = total
-            for length in self.PREFIXES:
-                rank, table = encode(seq[:length], alpha)
-                assert rank == weights[length], (case, length)
+            for tail in (0, _TAIL):
+                monkeypatch.setattr(codec, "_TAIL", tail)
+                for length in self.PREFIXES:
+                    rank, table = encode(seq[:length], alpha)
+                    assert rank == weights[length], (case, tail, length)
             rank, table = encode(iter(seq), alpha)
             assert decode(rank, table) == seq
+
+
+def _runs_message(rng, t, length):
+    """Runs of one to six copies of random symbols below t."""
+    msg = []
+    while len(msg) < length:
+        msg += [rng.randrange(t)] * rng.choice((1, 1, 2, 3, 6))
+    return msg[:length]
+
+
+class TestRankWidthSwitch:
+    """encode steps exactly while the arrangement count M is at most
+    `_TAIL` bits and gathers product-tree leaves above it. With the tail
+    patched low, M passes it after the first run, which adds nothing,
+    after a later run of r > 1 or a single arrival, or never; each rank
+    matches the factorial weights and, where affordable, the
+    brute-force oracle."""
+
+    SWITCHES = {0: {"first", "none"}, 8: {"run", "single", "none"},
+                64: {"run", "single", "none"}, 300: {"none"}}
+
+    @pytest.mark.parametrize("tail", sorted(SWITCHES))
+    def test_short_messages_against_ground_truth(self, tail, monkeypatch):
+        monkeypatch.setattr(codec, "_TAIL", tail)
+        rng = random.Random(5000 + tail)
+        switches = set()
+        brute = 0
+        for case in range(250):
+            t = rng.randint(1, 8)
+            msg = _runs_message(rng, t, rng.randint(0, 60))
+            counts = [0] * t
+            want = 0
+            switch = "none"
+            for j, (k, run) in enumerate(itertools.groupby(msg)):
+                r = 0
+                for _ in run:
+                    want += literal_weight(counts, k)
+                    counts[k] += 1
+                    r += 1
+                if (switch == "none" and
+                        factorial_multinomial(counts).bit_length() > tail):
+                    switch = ("first" if j == 0 else
+                              "run" if r > 1 else "single")
+            switches.add(switch)
+            rank, got, permutations = _rank_message(
+                msg, Alphabet(tuple(range(t))))
+            assert (rank, got) == (want, counts), case
+            assert permutations == factorial_multinomial(counts)
+            if permutations <= 2000:
+                assert rank == brute_rank(msg, table_of(*counts)), case
+                brute += 1
+        assert switches == self.SWITCHES[tail]
+        assert brute >= 50
 
 
 class TestRoundtripProperty:
@@ -538,11 +643,8 @@ class TestWindowedUnrank:
 def _run_block(kind, size, seed):
     """Blocks with long runs, for the unranker's one-step run rule."""
     rng = random.Random(seed)
-    if kind == "sparse":  # a page with 3% nonzero bytes
-        block = bytearray(size)
-        for i in rng.sample(range(size), size * 3 // 100):
-            block[i] = rng.randrange(1, 256)
-        return bytes(block)
+    if kind == "sparse":
+        return _sparse_page(rng, size)
     if kind == "runs-40":
         return b"".join(bytes([rng.randrange(256)]) * 40
                         for _ in range(-(-size // 40)))[:size]

@@ -30,10 +30,24 @@ CHILD = (
                  "cbe.selftest", "cbe.oracle"}),
 ])
 def test_import_loads_no_unwanted_modules(module, unwanted):
-    proc = subprocess.run(
-        [sys.executable, "-E", "-s", "-c", CHILD, str(SRC), module],
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    loaded = set(proc.stdout.split())
+    loaded = loaded_by_import(module, "-s")
     assert module in loaded
     assert sorted(loaded & unwanted) == []
+
+
+def test_import_without_site_loads_no_re():
+    # Under -S start-up skips `site`, which on some installs loads `re`
+    # through a `.pth` file; bit mode compiles its one regular
+    # expression on first use instead of at import.
+    loaded = loaded_by_import("cbe", "-S")
+    assert "cbe" in loaded
+    assert sorted(loaded & {"re", "enum"}) == []
+
+
+def loaded_by_import(module, site_flag):
+    """Modules a fresh `-E` interpreter loads to import `module`."""
+    proc = subprocess.run(
+        [sys.executable, "-E", site_flag, "-c", CHILD, str(SRC), module],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(proc.stdout.split())
