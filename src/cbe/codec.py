@@ -21,11 +21,11 @@ term of a rational series. While the arrangement count is short it
 adds each term to the rank in one exact step; once it is wider, it
 sums every few hundred arrivals' terms at once with a product tree
 (binary splitting, after Haible and Papanikolaou), folding each partial
-sum into the rank with exact divisions. The last step or fold also
+sum into the rank with one exact division. The last step or fold also
 yields the block's arrangement count.
 
 Both directions follow one width rule: exact steps while the
-arrangement count is at most `_TAIL` bits, product-tree folds above it.
+arrangement count is at most `_TAIL` bits, chunked folds above it.
 
 `decode` walks back from the top position down. Each of its steps is
 the interval-narrowing step of arithmetic decoding (Witten, Neal and
@@ -35,7 +35,9 @@ off a sorted pool of the symbols left. A step needs only the leading
 bits of x, so decode carries x as a fixed-point fraction with a proven
 error bound, takes a symbol only when no value within the bound would
 give another, and folds every chunk of decisions back into the exact
-rank and arrangement count with the same product tree.
+rank and arrangement count. It combines the chunk's terms as it takes
+them, with the product tree's own rule applied one term at a time, so
+the fold is the encoder's single exact division.
 Where the numbers are short enough to step exactly, a run of one
 symbol is decoded in one step: the arrangements that put that symbol
 on the top j positions form nested intervals, and the run's length is
@@ -62,17 +64,19 @@ from .binomials import mpz, multinomial
 from .multiset import Alphabet, FrequencyTable, UnknownSymbolError
 
 
-# Arrivals per product tree once the arrangement count is wider than
-# `_TAIL`. Larger trees multiply ever wider products, of which only the
-# ratio P/Q reaches the rank; smaller ones pay more full-width
-# divisions.
+# Arrivals per fold once the arrangement count is wider than `_TAIL`:
+# encode's product trees and, at most, decode's windowed chunks. Larger
+# chunks multiply ever wider products, of which only the ratio P/Q
+# reaches the rank; smaller ones pay more full-width divisions.
 _CHUNK = 512
 
 # `_unrank_counts` decodes from a `_WINDOW`-bit fixed-point fraction of
 # rank over total, whose top 64 bits decide each cut. A chunk stops once
-# its float error bound comes within `_GUARD` bits of the window, so
-# _WINDOW - _GUARD must stay below 1024 for that bound to fit a float,
-# and _WINDOW above 64. A total of at most `_TAIL` bits is finished
+# its float error bound comes within `_GUARD` bits of the window. The
+# bound is carried in units of 2^(_WINDOW - 64) and is never below 2
+# units, so _WINDOW - 64 must stay at most 1022 for every value it takes
+# to be a normal float, which scales by powers of two exactly; and
+# _WINDOW must stay above 64. A total of at most `_TAIL` bits is finished
 # with exact steps, which are then no dearer than windowed ones, and
 # `_rank_message` steps exactly while its count is that narrow.
 _WINDOW = 768
@@ -246,9 +250,9 @@ def _rank_message(message, alphabet):
     `_TAIL` bits, each run is one exact step, rank += M*T/Q and
     M = M*P/Q: every term counts arrangements, so both divisions are
     exact. Once M is wider, the leaves are gathered, and every `_CHUNK`
-    arrivals a product tree reduces them and they are folded into the
-    rank with exact divisions, which keeps the numbers near the size of
-    the rank itself. The last step or fold carries M to M_n, the
+    arrivals a product tree reduces them and `_fold` folds them into the
+    rank with one exact division by Q, which keeps the numbers near the
+    size of the rank itself. The last step or fold carries M to M_n, the
     block's arrangement count P. A block whose count stays within
     `_TAIL` bits, such as a 4 KiB page with 3% nonzero bytes, builds no
     tree.
@@ -313,16 +317,13 @@ def _rank_message(message, alphabet):
         coarse[hi] += r
         i += r
         if i >= fold_at:
-            p, q, t = _product_tree(ps, qs, ts)
-            if t:
-                rank += prefix * t // q
-            prefix = prefix * p // q
+            t, prefix = _fold(prefix, *_product_tree(ps, qs, ts))
+            rank += t
             ps, qs, ts = [], [], []
             fold_at = i + _CHUNK
     if ps:
-        p, q, t = _product_tree(ps, qs, ts)
-        rank += prefix * t // q
-        prefix = prefix * p // q
+        t, prefix = _fold(prefix, *_product_tree(ps, qs, ts))
+        rank += t
     return int(rank), counts, int(prefix)
 
 
@@ -346,6 +347,17 @@ def _product_tree(ps, qs, ts):
             new_ts.append(ts[-1])
         ps, qs, ts = new_ps, new_qs, new_ts
     return ps[0], qs[0], ts[0]
+
+
+def _fold(x, p, q, t):
+    """(x*t/q, x*p/q), where q divides both x*t and x*p.
+
+    One division takes x apart as whole*q + part, and the rest divides
+    only part*t and part*p, about twice q's width, by q: both are exact
+    because whole*q*t and whole*q*p are multiples of q too.
+    """
+    whole, part = divmod(x, q)
+    return whole * t + part * t // q, whole * p + part * p // q
 
 
 def decode(rank, table: FrequencyTable):
@@ -391,22 +403,26 @@ def _unrank_counts(rank, counts, permutations):
       The cut is taken only if its fraction f = y - cut*2^W lies at
       least E*m inside [0, 2^W), where the ends of [0, m) do not count,
       so every value the bound allows has the same cut: no decision is
-      ever wrong. The test reads f's top 64 bits against E*m rounded up
-      in units of 2^(W-64): it compares integers only, whatever their
+      ever wrong. E is carried in units of 2^(W-64), which only scales
+      its float by a power of two, and the test reads f's top 64 bits
+      against E*m rounded up: it compares integers only, whatever their
       type, and errs only towards a miss.
     - Update: X' = floor((y - below*2^W)/p) and E' = E*m/p + 2, since
       x' = (x*m - below)/p puts x'*2^W within E*m/p of
       (y - below*2^W)/p, and flooring adds less than 1. The spare 1 per
       step covers E's float rounding.
 
-    Each accepted symbol leaves a leaf (p, m, below); at the chunk's
-    end `_product_tree` reduces them to (P, Q, T), and one full-width
-    division by Q applies rank -= total*T/Q and total = total*P/Q
-    exactly. A chunk ends after `_CHUNK` symbols, once E*m exceeds
-    2^(W - `_GUARD`), or at a cut it cannot certify, which is then
-    taken as one exact full-width step. Once total is at most `_TAIL`
-    bits the block finishes with exact steps, and a rank of 0 is the
-    lowest arrangement, written out directly.
+    Each accepted symbol is a term (p, m, below) of the chunk's
+    (P, Q, T), combined as it is taken with the product tree's rule:
+    T = T*m + P*below, then P = P*p. Q is the falling factorial of the
+    m's, so at the chunk's end `_fold` applies rank -= total*T/Q and
+    total = total*P/Q exactly, with one full-width division by Q. On a
+    4 KiB block of random bytes T and Q stay near 1.1 kbit. A chunk ends
+    after `_CHUNK` symbols, once E*m exceeds 2^(W - `_GUARD`), or at a
+    cut it cannot certify, which is then taken as one exact full-width
+    step. Once total is at most `_TAIL` bits the block finishes with
+    exact steps, and a rank of 0 is the lowest arrangement, written out
+    directly.
 
     An exact step whose symbol k likely starts a run, because it
     repeats the previous symbol or holds most of what remains, takes
@@ -426,9 +442,10 @@ def _unrank_counts(rank, counts, permutations):
     total = mpz(permutations)
     w = _WINDOW
     low = w - 64  # the certainty test reads a fraction's top 64 bits
-    unit = 2.0 ** -low
+    unit = 2.0 ** -low  # E is carried in these units
+    floor_err = 2 * unit  # flooring and float rounding, per step
     full = (1 << 64) - 1
-    limit = float(1 << (w - _GUARD))
+    limit = 2.0 ** (w - _GUARD - low)  # E*m at most 2^(W - _GUARD)
     prev = below = -1  # the last symbol decided and where its copies start
     missed = False
     while m:
@@ -438,25 +455,25 @@ def _unrank_counts(rank, counts, permutations):
         width = total.bit_length()
         if width > _TAIL and not missed:
             start = m
-            ps, ts = [], []
+            p_run, t_run = 1, 0  # the chunk's P and T so far
             shift = width - w - 64
             # clamped, or rank P - 1, whose top bits can equal total's,
             # would start every chunk on an uncertain cut
             x = min((rank >> shift << w) // (total >> shift), (1 << w) - 1)
-            err = 3.0
+            err = 3 * unit
             stop = max(m - _CHUNK, 0)
             while m > stop:
                 em = err * m
                 if em > limit:
                     break
-                em = math.ceil(em * unit)  # in units of 2^low, rounded up
+                reach = math.ceil(em)  # E*m, rounded up
                 y = x * m
                 top = y >> low
                 cut = top >> 64
                 f = top - (cut << 64)  # the fraction's top 64 bits
                 # the cut is exact unless the error could cross one of
                 # its boundaries; the ends of [0, m) cannot be crossed
-                if (cut and f < em) or (cut < m - 1 and full - f < em):
+                if (cut and f < reach) or (cut < m - 1 and full - f < reach):
                     missed = True
                     break
                 k = pool[cut]
@@ -467,18 +484,17 @@ def _unrank_counts(rank, counts, permutations):
                     prev = k
                 del pool[below]
                 remaining[k] = p - 1
-                ps.append(p)
-                ts.append(below)
+                t_run = t_run * m + p_run * below
+                p_run *= p
                 x = (y - (below << w)) // p
-                err = err * m / p + 2
+                err = em / p + floor_err
                 m -= 1
                 out[m] = k
-            if ps:
+            if m < start:
                 # rank -= total*T/Q and total = total*P/Q, both exact
-                p, q, t_sum = _product_tree(ps, list(range(start, m, -1)), ts)
-                whole, part = divmod(total, q)
-                rank -= whole * t_sum + part * t_sum // q
-                total = whole * p + part * p // q
+                drop, total = _fold(total, p_run,
+                                    math.perm(start, start - m), t_run)
+                rank -= drop
             continue
         # exact: one step after a miss, or the whole tail
         missed = False

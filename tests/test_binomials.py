@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -37,6 +38,20 @@ class TestMultinomial:
     def test_returns_plain_int(self):
         assert type(multinomial((3, 1, 2))) is int
         assert type(multinomial(())) is int
+
+    @pytest.mark.parametrize("nonzero", [0, 1, 2, 3, 5, 255, 256])
+    def test_pairwise_product_of_any_length(self, nonzero):
+        # the binomials are multiplied pairwise, so each level of the
+        # pairing meets both odd and even lengths
+        rng = random.Random(nonzero)
+        counts = []
+        for _ in range(nonzero):
+            counts += [0] * rng.randrange(3)
+            counts.append(rng.randrange(1, 40))
+        counts.append(0)
+        got = multinomial(counts)
+        assert type(got) is int
+        assert got == factorial_multinomial(counts)
 
     def test_large_counts_exact(self):
         assert multinomial((1000, 1000)) == math.comb(2000, 1000)

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -600,11 +601,25 @@ class TestWindowedUnrank:
                            for _ in range(size))[:size]
 
     def test_roundtrip(self, narrow):
+        self._check_roundtrips()
+
+    def test_boundary_ranks(self, narrow):
+        self._check_boundary_ranks()
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_short_chunks(self, chunk, narrow, monkeypatch):
+        # a chunk of one or two symbols folds running products of one
+        # or two terms
+        monkeypatch.setattr(codec, "_CHUNK", chunk)
+        self._check_roundtrips()
+        self._check_boundary_ranks()
+
+    def _check_roundtrips(self):
         for data in self._blocks():
             rank, table = encode(data, BYTE_ALPHABET)
             assert bytes(decode(rank, table)) == data
 
-    def test_boundary_ranks(self, narrow):
+    def _check_boundary_ranks(self):
         checked = 0
         widths = []
         for data in self._blocks():
@@ -622,22 +637,27 @@ class TestWindowedUnrank:
 
     @pytest.mark.parametrize("kind", ["random", "sorted"])
     def test_windows_decide_most_symbols(self, kind, monkeypatch):
-        # each windowed chunk folds its decisions as one product tree's
-        # leaves; a miss at every chunk's first cut would leave the block
-        # to full-width exact steps, right but several times slower. A
-        # sorted block has rank P - 1, where the fraction starts at its
-        # top end and must be clamped below 1 to give a certain cut.
+        # each windowed chunk folds the symbols it decided, from position
+        # `start` down to `m`, with one `_fold`; a miss at every chunk's
+        # first cut would leave the block to full-width exact steps,
+        # right but several times slower. A sorted block has rank P - 1,
+        # where the fraction starts at its top end and must be clamped
+        # below 1 to give a certain cut.
         data = _unrank_block(kind, seed=13)
         rank, table = encode(data, BYTE_ALPHABET)
         if kind == "sorted":
             assert rank == permutation_count(table) - 1
-        leaves = []
-        tree = codec._product_tree
-        monkeypatch.setattr(codec, "_product_tree",
-                            lambda ps, qs, ts: leaves.append(len(ps))
-                            or tree(ps, qs, ts))
+        decided = []
+        fold = codec._fold
+
+        def counting_fold(*args):
+            chunk = sys._getframe(1).f_locals
+            decided.append(chunk["start"] - chunk["m"])
+            return fold(*args)
+
+        monkeypatch.setattr(codec, "_fold", counting_fold)
         assert bytes(decode(rank, table)) == data
-        assert sum(leaves) >= 0.9 * len(data)
+        assert sum(decided) >= 0.9 * len(data)
 
 
 def _run_block(kind, size, seed):
