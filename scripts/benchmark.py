@@ -5,10 +5,13 @@ First times fresh `-E -s` interpreters: a bare one, one that imports
 cbe, and `python -m cbe compress` on empty stdin, each the median of
 11 runs. Then times compress/decompress over synthetic corpora, with
 decode time over encode time (above 1 where decode is the slower half),
-and shows how close the payload lands to the entropy total per corpus:
+and shows how close the payload lands to the entropy total per corpus.
+With --repeat N each corpus makes N roundtrips, and enc and dec are the
+medians of their times, so a change can be told from drift in the host:
 
     python scripts/benchmark.py
     python scripts/benchmark.py --size 4194304 --block-size 8192
+    python scripts/benchmark.py --repeat 5
 """
 
 import argparse
@@ -89,7 +92,8 @@ def corpora(size, seed, block_bytes):
     yield "sparse", bytes(sparse)
 
 
-def run(name, data, block_size, mode):
+def roundtrip(name, data, block_size, mode):
+    """(compress seconds, decompress seconds, summary) of one roundtrip."""
     src = io.BytesIO(data)
     archive = io.BytesIO()
     t0 = time.perf_counter()
@@ -100,6 +104,14 @@ def run(name, data, block_size, mode):
     decompress(archive, out)
     t2 = time.perf_counter()
     assert out.getvalue() == data, f"{name}: roundtrip mismatch"
+    return t1 - t0, t2 - t1, summary
+
+
+def run(name, data, block_size, mode, repeat):
+    times = [roundtrip(name, data, block_size, mode) for _ in range(repeat)]
+    enc = max(statistics.median(t[0] for t in times), 1e-9)
+    dec = max(statistics.median(t[1] for t in times), 1e-9)
+    summary = times[0][2]
 
     # reference entropy in the same symbol domain the codec ranks over
     if mode == MODE_BYTE:
@@ -110,9 +122,9 @@ def run(name, data, block_size, mode):
     stats = message_stats(table)
     mib = len(data) / (1 << 20)
     print(
-        f"{name:>10}  enc {mib / max(t1 - t0, 1e-9):6.2f} MiB/s"
-        f"  dec {mib / max(t2 - t1, 1e-9):6.2f} MiB/s"
-        f"  dec/enc {(t2 - t1) / max(t1 - t0, 1e-9):5.2f}"
+        f"{name:>10}  enc {mib / enc:6.2f} MiB/s"
+        f"  dec {mib / dec:6.2f} MiB/s"
+        f"  dec/enc {dec / enc:5.2f}"
         f"  payload {summary.payload_bits:>9} bits"
         f"  nH {stats.shannon_total_bits:12.1f}"
         f"  archive {summary.total_bytes:>9} B"
@@ -127,7 +139,12 @@ def main():
     parser.add_argument("--block-size", type=int, default=4096)
     parser.add_argument("--mode", choices=("byte", "bit"), default="byte")
     parser.add_argument("--seed", type=int, default=2024)
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="roundtrips per corpus; enc and dec are their "
+                             "medians (default 1)")
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
     mode = MODE_BYTE if args.mode == "byte" else MODE_BIT
 
     print(
@@ -136,10 +153,11 @@ def main():
         f"  import cbe {cold_start_ms(['-c', 'import cbe']):.1f} ms"
         f"  cbe compress of empty stdin {cold_start_ms(['-m', 'cbe', 'compress']):.1f} ms"
     )
-    print(f"size={args.size} block_size={args.block_size} mode={args.mode}")
+    print(f"size={args.size} block_size={args.block_size} mode={args.mode}"
+          + (f" repeat={args.repeat}" if args.repeat > 1 else ""))
     block_bytes = args.block_size if mode == MODE_BYTE else -(-args.block_size // 8)
     for name, data in corpora(args.size, args.seed, block_bytes):
-        run(name, data, args.block_size, mode)
+        run(name, data, args.block_size, mode, args.repeat)
 
 
 if __name__ == "__main__":

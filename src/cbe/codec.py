@@ -17,12 +17,17 @@ number of arrangements of the prefix seen so far that would sort below
 it. No symbol statistics are needed up front; the counts accumulated
 during the pass are exactly the side information the decoder requires.
 `encode` tallies the message run by run and turns each run into one
-term of a rational series. While the arrangement count is short it
-adds each term to the rank in one exact step; once it is wider, it
-sums every few hundred arrivals' terms at once with a product tree
-(binary splitting, after Haible and Papanikolaou), folding each partial
-sum into the rank with one exact division. The last step or fold also
-yields the block's arrangement count.
+term of a rational series. It keeps the ranks of all arrivals so far in
+one sorted array, as decode keeps its pool, so the arrivals below a
+symbol are where it would go in that array. While the arrangement count
+is short it adds each term to the rank in one exact step, taking the
+runs from `groupby`. Once the count is wider, it reads the raw symbols
+and counts each run as it goes, combines every few runs' terms into one
+with the product tree's own rule, and sums every few hundred arrivals'
+terms at once with a product tree over those groups (binary splitting,
+after Haible and Papanikolaou), folding each partial sum into the rank
+with one exact division. The last step or fold also yields the block's
+arrangement count.
 
 Both directions follow one width rule: exact steps while the
 arrangement count is at most `_TAIL` bits, chunked folds above it.
@@ -58,7 +63,7 @@ them for bit lists.
 
 import math
 from bisect import bisect_left
-from itertools import groupby
+from itertools import chain, groupby
 
 from .binomials import mpz, multinomial
 from .multiset import Alphabet, FrequencyTable, UnknownSymbolError
@@ -69,6 +74,12 @@ from .multiset import Alphabet, FrequencyTable, UnknownSymbolError
 # chunks multiply ever wider products, of which only the ratio P/Q
 # reaches the rank; smaller ones pay more full-width divisions.
 _CHUNK = 512
+
+# Runs' leaves `_rank_message` combines one at a time into each leaf of
+# its product trees. On a random 4 KiB block 16 leaves make numbers of
+# about 200 bits, too short for a tree's balanced products to pay, and a
+# tree of 32 groups costs less than one of 512 leaves.
+_GROUP = 16
 
 # `_unrank_counts` decodes from a `_WINDOW`-bit fixed-point fraction of
 # rank over total, whose top 64 bits decide each cut. A chunk stops once
@@ -90,6 +101,12 @@ _LN2 = math.log(2)  # `_ln` scales wide values by powers of two
 # out with `_BIT_CHARS`.
 _runs = None
 _BIT_CHARS = {0: "0", 1: "1"}
+
+# `_rank_message` splices each run of rank k into its sorted bytearray
+# of arrivals as `_BYTE_PIECES[k] * r`, and `_END` ends its wide loop,
+# so the last run closes like any other.
+_BYTE_PIECES = [bytes((k,)) for k in range(256)]
+_END = object()
 
 
 class RankRangeError(ValueError):
@@ -244,87 +261,128 @@ def _rank_message(message, alphabet):
     once and becomes one leaf (P, Q, T) = (perm(i+r, r), perm(s+r, r),
     b*(P - Q)/(i - s)): its r terms telescope, and i - s divides P - Q.
     The first run adds nothing; runs are maximal, so every later one
-    has s < i.
+    has s < i. `seen` holds the rank of every arrival so far in
+    ascending order, as decode's pool does, so b is where the symbol's
+    rank would go in it; each run is spliced in whole. It is a bytearray
+    for alphabets of at most 256 symbols, and a list for wider ones.
 
     The kernel follows `_unrank_counts`' width rule. While M is at most
     `_TAIL` bits, each run is one exact step, rank += M*T/Q and
     M = M*P/Q: every term counts arrangements, so both divisions are
-    exact. Once M is wider, the leaves are gathered, and every `_CHUNK`
-    arrivals a product tree reduces them and `_fold` folds them into the
-    rank with one exact division by Q, which keeps the numbers near the
-    size of the rank itself. The last step or fold carries M to M_n, the
-    block's arrangement count P. A block whose count stays within
-    `_TAIL` bits, such as a 4 KiB page with 3% nonzero bytes, builds no
-    tree.
+    exact. These runs come from `groupby`, which counts a long run in C
+    and keeps a sparse page cheap. Once M is wider, the loop reads the
+    same iterator of raw symbols, starting from the run whose first
+    symbol `groupby` has already read, and counts each run as it goes,
+    so a one-pass iterator is still read once. It combines the leaves
+    of every `_GROUP` runs into one with the product tree's own rule,
+    T = T*q + P*t, P = P*p, Q = Q*q. At the end of the first group past
+    each `_CHUNK` arrivals, a product tree reduces the groups and
+    `_fold` folds them into the rank with one exact division by Q,
+    which keeps the numbers near the size of the rank itself. The last
+    step or fold carries M to M_n, the block's arrangement count P. A
+    block whose count stays within `_TAIL` bits, such as a 4 KiB page
+    with 3% nonzero bytes, builds no tree.
     """
     ranks = alphabet.rank_map
     counts = [0] * len(alphabet)
-    coarse = [0] * ((len(alphabet) + 15) >> 4)  # arrivals per 16 ranks
+    if len(counts) <= 256:
+        seen, pieces = bytearray(), _BYTE_PIECES
+    else:
+        seen, pieces = [], _Singletons()
     prefix = mpz(1)  # M, or M at the start of the pending chunk once wide
     rank = mpz(0)
     i = 0
-    runs = groupby(message)
+    symbols = iter(message)
+    runs = groupby(symbols)
     for symbol, run in runs:  # exact steps while M is narrow
         k = ranks.get(symbol)
         if k is None:
             raise UnknownSymbolError(symbol, i)
         r = len(list(run))
         s = counts[k]
-        hi = k >> 4
-        if i:  # the first run is the identity
-            # arrivals below k: whole groups of 16 ranks, then k's group
-            b = sum(coarse[:hi]) + sum(counts[hi << 4:k])
-            if r == 1:
-                if not s:  # a first copy: both divisions are by 1
-                    rank += prefix * b
-                    prefix *= i + 1
-                else:
-                    if b:
-                        rank += prefix * b // (s + 1)
-                    prefix = prefix * (i + 1) // (s + 1)
+        b = bisect_left(seen, k)
+        if r == 1:
+            if not s:  # a first copy: both divisions are by 1
+                rank += prefix * b
+                prefix *= i + 1
             else:
+                if b:
+                    rank += prefix * b // (s + 1)
+                prefix = prefix * (i + 1) // (s + 1)
+            seen.insert(b, k)
+        else:
+            if i:  # the first run is the identity
                 p = math.perm(i + r, r)
                 q = math.perm(s + r, r)
                 if b:
                     rank += prefix * (b * (p - q) // (i - s)) // q
                 prefix = prefix * p // q
+            seen[b:b] = pieces[k] * r
         counts[k] = s + r
-        coarse[hi] += r
         i += r
         if prefix.bit_length() > _TAIL:
             break
-    ps, qs, ts = [], [], []
+    after = next(runs, None)  # `groupby` has read this run's first symbol
+    if after is None:
+        return int(rank), counts, int(prefix)
+    symbol = after[0]
+    prev = ranks.get(symbol)  # the pending run's symbol, r copies so far
+    if prev is None:
+        raise UnknownSymbolError(symbol, i)
+    r = 1
+    group = _GROUP
+    ps, qs, ts = [], [], []  # the pending chunk's closed groups
+    gp, gq, gt, g = 1, 1, 0, 0  # the open group and its leaf count
     fold_at = i + _CHUNK
-    for symbol, run in runs:  # wide: leaves folded every `_CHUNK` arrivals
+    for symbol in chain(symbols, (_END,)):  # wide: runs counted inline
         k = ranks.get(symbol)
-        if k is None:
-            raise UnknownSymbolError(symbol, i)
-        r = len(list(run))
-        s = counts[k]
-        hi = k >> 4
-        b = sum(coarse[:hi]) + sum(counts[hi << 4:k])
+        if k == prev:
+            r += 1
+            continue
+        if k is None and symbol is not _END:
+            raise UnknownSymbolError(symbol, i + r)
+        # the pending run has ended: combine its leaf into the open group
+        s = counts[prev]
+        b = bisect_left(seen, prev)
         if r == 1:
-            ps.append(i + 1)
-            qs.append(s + 1)
-            ts.append(b)
+            q = s + 1
+            gt = gt * q + gp * b
+            gp *= i + 1
+            gq *= q
+            seen.insert(b, prev)
         else:
             p = math.perm(i + r, r)
             q = math.perm(s + r, r)
-            ps.append(p)
-            qs.append(q)
-            ts.append(b * (p - q) // (i - s))
-        counts[k] = s + r
-        coarse[hi] += r
+            gt = gt * q + gp * (b * (p - q) // (i - s))
+            gp *= p
+            gq *= q
+            seen[b:b] = pieces[prev] * r
+        counts[prev] = s + r
         i += r
-        if i >= fold_at:
-            t, prefix = _fold(prefix, *_product_tree(ps, qs, ts))
-            rank += t
-            ps, qs, ts = [], [], []
-            fold_at = i + _CHUNK
-    if ps:
-        t, prefix = _fold(prefix, *_product_tree(ps, qs, ts))
-        rank += t
+        g += 1
+        if g == group or k is None:
+            ps.append(gp)
+            qs.append(gq)
+            ts.append(gt)
+            gp, gq, gt, g = 1, 1, 0, 0
+            if i >= fold_at or k is None:
+                t, prefix = _fold(prefix, *_product_tree(ps, qs, ts))
+                rank += t
+                ps, qs, ts = [], [], []
+                fold_at = i + _CHUNK
+        prev = k
+        r = 1
     return int(rank), counts, int(prefix)
+
+
+class _Singletons:
+    """`_Singletons()[k] == [k]`, as `_BYTE_PIECES[k] == bytes((k,))`:
+    a run of r copies of k is `pieces[k] * r`, spliced into `seen`."""
+
+    __slots__ = ()
+
+    def __getitem__(self, k):
+        return [k]
 
 
 def _product_tree(ps, qs, ts):

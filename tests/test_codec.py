@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import operator
@@ -130,6 +131,30 @@ class TestEncode:
             encode([97, 97, 120], ABN)
         assert err.value.symbol == 120
         assert err.value.position == 2
+
+    @pytest.mark.parametrize("where", ["after-switch", "wide", "after-run",
+                                       "last"])
+    @pytest.mark.parametrize("one_pass", [False, True], ids=["bytes", "iter"])
+    def test_unknown_symbol_past_the_switch(self, where, one_pass):
+        # byte 255 is foreign to the alphabet 0..254; once the count is
+        # wider than `_TAIL`, runs are counted on the raw symbols, and
+        # the first symbol after the switch was already read by groupby
+        msg = bytearray(random.Random(31).randbytes(3000).replace(b"\xff", b""))
+        switch = _switch_position(msg)
+        at = {"after-switch": switch, "wide": switch + 1000,
+              "after-run": switch + 1500, "last": len(msg) - 1}[where]
+        if where == "after-run":
+            msg[at - 3:at] = b"\x07\x07\x07"
+            assert msg[at - 4] != 7
+        msg[at] = 0xFF
+        if at + 5 < len(msg):
+            msg[at + 5] = 0xFF  # only the first foreign symbol is named
+        alphabet = Alphabet(tuple(range(255)))
+        for rank_with in (encode, _rank_message):
+            message = iter(list(msg)) if one_pass else bytes(msg)
+            with pytest.raises(UnknownSymbolError) as err:
+                rank_with(message, alphabet)
+            assert (err.value.symbol, err.value.position) == (0xFF, at)
 
     def test_single_pass_over_iterator(self):
         rank, table = encode(iter([ord(c) for c in "banana"]), ABN)
@@ -293,6 +318,22 @@ def _just_above_tail(extra=5):
     raise AssertionError("never passed the tail")
 
 
+def _switch_position(message):
+    """Arrival index where `_rank_message` stops stepping exactly: the
+    start of the run after the one that takes the arrangement count past
+    `_TAIL` bits."""
+    counts = {}
+    i = 0
+    for symbol, run in itertools.groupby(message):
+        r = len(list(run))
+        counts[symbol] = counts.get(symbol, 0) + r
+        i += r
+        if factorial_multinomial(list(counts.values())).bit_length() > _TAIL:
+            assert i < len(message)
+            return i
+    raise AssertionError("never passed the tail")
+
+
 class TestRankMessageCount:
     """`encode`'s kernel returns the rank and counts `encode` does, and
     its P is the table's arrangement count, across the switch from
@@ -322,7 +363,8 @@ class TestRankMessageCount:
     @pytest.mark.parametrize("kind", ["sparse", "random"])
     def test_product_trees_built(self, kind, monkeypatch):
         # a sparse page stays narrow enough to step exactly throughout;
-        # a random block folds at most one tree per chunk
+        # a random block folds at most one tree per chunk, and each tree
+        # reduces groups of `_GROUP` runs' leaves, not one leaf per run
         rng = random.Random(17)
         block = (_sparse_page(rng, 4096) if kind == "sparse"
                  else rng.randbytes(4096))
@@ -330,7 +372,8 @@ class TestRankMessageCount:
         trees = []
         tree = codec._product_tree
         monkeypatch.setattr(codec, "_product_tree",
-                            lambda *leaves: trees.append(1) or tree(*leaves))
+                            lambda *leaves: trees.append(len(leaves[0]))
+                            or tree(*leaves))
         rank, counts, permutations = _rank_message(block, BYTE_ALPHABET)
         assert rank == want
         assert permutations == factorial_multinomial(counts)
@@ -338,6 +381,7 @@ class TestRankMessageCount:
             assert trees == []
         else:
             assert 1 <= len(trees) <= -(-len(block) // codec._CHUNK)
+            assert max(trees) <= -(-codec._CHUNK // codec._GROUP)
 
 
 def literal_weight(counts, rank):
@@ -386,6 +430,20 @@ def _run_sequence(rng, symbols, length):
     return seq[:length]
 
 
+def _prefix_weights(seq, t, lengths):
+    """Sum of the factorial weights of the first n arrivals of `seq`, over
+    ranks below t, for each n in `lengths`."""
+    counts = [0] * t
+    total = 0
+    weights = {}
+    for n, k in enumerate(seq, 1):
+        total += literal_weight(counts, k)
+        counts[k] += 1
+        if n in lengths:
+            weights[n] = total
+    return weights
+
+
 class TestChunkBoundaries:
     """Once the arrangement count is wider than `_TAIL`, encode folds a
     product tree every few hundred arrivals; ranks of prefixes ending on
@@ -395,8 +453,11 @@ class TestChunkBoundaries:
 
     PREFIXES = (1, 511, 512, 513, 1023, 1024, 1025, 1100)
 
-    def test_50_sequences_against_factorials(self, monkeypatch):
+    @staticmethod
+    @functools.cache
+    def _cases():
         rng = random.Random(2718)
+        cases = []
         for case in range(50):
             t = (3, 17, 256)[case % 3]
             # over 256 symbols, a spread subset keeps the oracle affordable
@@ -404,21 +465,46 @@ class TestChunkBoundaries:
                        else sorted(rng.sample(range(t), 6) + [40, 41, 47]))
             seq = _run_sequence(rng, symbols, 1100)
             assert min(seq[:490]) < seq[500] and min(seq[:1000]) < seq[1010]
-            alpha = Alphabet(tuple(range(t)))
-            counts = [0] * t
-            total = 0
-            weights = {}
-            for i, k in enumerate(seq):
-                total += literal_weight(counts, k)
-                counts[k] += 1
-                weights[i + 1] = total
+            weights = _prefix_weights(seq, t, TestChunkBoundaries.PREFIXES)
+            cases.append((Alphabet(tuple(range(t))), seq, weights))
+        return cases
+
+    def _check_prefixes(self, monkeypatch):
+        for case, (alpha, seq, weights) in enumerate(self._cases()):
             for tail in (0, _TAIL):
                 monkeypatch.setattr(codec, "_TAIL", tail)
                 for length in self.PREFIXES:
                     rank, table = encode(seq[:length], alpha)
                     assert rank == weights[length], (case, tail, length)
+
+    def test_50_sequences_against_factorials(self, monkeypatch):
+        self._check_prefixes(monkeypatch)
+        for alpha, seq, _ in self._cases():
             rank, table = encode(iter(seq), alpha)
             assert decode(rank, table) == seq
+
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_short_groups(self, group, monkeypatch):
+        # a tree leaf of one or two runs' leaves
+        monkeypatch.setattr(codec, "_GROUP", group)
+        self._check_prefixes(monkeypatch)
+
+    def test_wide_alphabet(self):
+        # over more than 256 symbols the sorted arrivals are a list, not
+        # a bytearray, which could not hold ranks 256 and 299
+        rng = random.Random(300)
+        symbols = sorted(rng.sample(range(257, 299), 5) + [3, 255, 256, 299])
+        seq = _run_sequence(rng, symbols, 1500)
+        assert _switch_position(seq) < 1000
+        weights = _prefix_weights(seq, 300, self.PREFIXES + (1500,))
+        alpha = Alphabet(tuple(range(300)))
+        for length in self.PREFIXES:
+            assert encode(seq[:length], alpha)[0] == weights[length]
+        rank, table = encode(iter(seq), alpha)
+        assert rank == weights[1500]
+        assert _rank_message(seq, alpha) == (
+            rank, list(table.counts), permutation_count(table))
+        assert decode(rank, table) == seq
 
 
 def _runs_message(rng, t, length):
