@@ -17,9 +17,20 @@ Each block is independently decodable: its table is complete side
 information for its rank. Bit mode unpacks every input byte least
 significant bit first, so byte k contributes arrival positions
 8k..8k+7.
+
+The two modes differ only in symbol width, in how a block is ranked,
+tallied and unranked, and in how many symbol ids a table may name.
+`_MODES` holds one entry per mode byte with exactly those, and nothing
+else here tests the mode. `decompress` has one writer for both: a
+block is n symbols of 8 or 1 bits, a one-symbol block streams as a run
+of bytes, and every other block is unranked to one little-endian int
+and packed above the bits still pending from the blocks before it.
+Input is read in pieces of at most `_RUN_PIECE` bytes, whatever the
+block size.
 """
 
 import io
+import itertools
 import math
 from collections import Counter
 
@@ -31,7 +42,7 @@ MAGIC = b"CBE1"
 MODE_BYTE = 0x01
 MODE_BIT = 0x02
 DEFAULT_BLOCK_SIZE = 4096
-_RUN_PIECE = 1 << 16  # largest read or write of a run of bytes
+_RUN_PIECE = 1 << 16  # largest single read, and largest write of a run
 
 
 class ArchiveError(ValueError):
@@ -58,16 +69,10 @@ class _ByteReader:
         self._fp = fp
 
     def exact(self, size: int, what: str) -> bytes:
-        parts = []
-        need = size
-        while need:
-            # a hostile length must not size the read buffer
-            chunk = self._fp.read(min(need, _RUN_PIECE))
-            if not chunk:
-                raise ArchiveError(f"truncated archive while reading {what}")
-            parts.append(chunk)
-            need -= len(chunk)
-        return b"".join(parts)
+        data = _read_full(self._fp, size)
+        if len(data) < size:
+            raise ArchiveError(f"truncated archive while reading {what}")
+        return data
 
     def byte(self, what: str) -> int:
         """One byte as an int: varints and symbol ids are read this way."""
@@ -110,26 +115,30 @@ class ArchiveSummary(FrozenRecord):
 
 
 def _read_full(src, size: int) -> bytes:
-    """Read exactly `size` bytes unless the stream ends first."""
+    """Read exactly `size` bytes unless the stream ends first.
+
+    No single read asks for more than `_RUN_PIECE` bytes, so neither a
+    huge block size nor a hostile length sizes a read buffer.
+    """
     parts = []
-    need = size
-    while need:
-        chunk = src.read(need)
+    while size:
+        chunk = src.read(min(size, _RUN_PIECE))
         if not chunk:
             break
         parts.append(chunk)
-        need -= len(chunk)
+        size -= len(chunk)
     return b"".join(parts)
 
 
-def _frame(n, entries, width):
+def _frame(n, counts, width):
     """One block's header bytes, for a rank `width` bits wide.
 
     The single place that lays out a block's framing: `compress` writes
-    this header ahead of the rank, `summarize` only measures it.
+    this header ahead of the rank, `summarize` only measures it. The
+    table lists the nonzero `counts`, which are indexed by symbol id.
     """
-    parts = [write_varint(n), write_varint(len(entries))]
-    for symbol, count in entries:
+    parts = [write_varint(n), write_varint(len(counts) - counts.count(0))]
+    for symbol, count in itertools.compress(enumerate(counts), counts):
         parts.append(bytes((symbol,)))
         parts.append(write_varint(count))
     parts.append(write_varint((width + 7) // 8))
@@ -155,60 +164,106 @@ def _summary(frames):
     )
 
 
-def _check_coding(block_size, mode):
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    if mode not in (MODE_BYTE, MODE_BIT):
-        raise ValueError(f"unknown mode {mode!r}")
+def _byte_blocks(src, block_size):
+    """(n, rank, counts, P) for each block of bytes, ranked in one pass."""
+    while chunk := _read_full(src, block_size):
+        # a byte is its own rank in BYTE_ALPHABET
+        rank, counts, permutations = _rank_message(chunk, BYTE_ALPHABET)
+        yield len(chunk), rank, counts, permutations
 
 
-def _bit_strings(src, block_size):
-    """Arrival-order '0'/'1' strings of at most block_size bits.
+def _byte_tallies(data, block_size):
+    """(n, counts) for each block of bytes, from symbol counts alone."""
+    for start in range(0, len(data), block_size):
+        chunk = data[start:start + block_size]
+        counts = [0] * 256
+        for symbol, count in Counter(chunk).items():
+            counts[symbol] = count
+        yield len(chunk), counts
 
-    Each read chunk is spelled out LSB first by one `format` of its
-    little-endian int; the bits past the last whole block carry over.
+
+def _unrank_byte_block(rank, counts, permutations):
+    return int.from_bytes(bytes(_unrank_counts(rank, counts, permutations)), "little")
+
+
+def _bit_blocks(src, block_size):
+    """(n, rank, counts, P) for each block of bits, in arrival order.
+
+    Each read chunk is spelled out LSB first by one `bin` of its
+    little-endian int with a marker bit above it; the bits past the
+    last whole block carry over, and the stream's end flushes them.
     """
-    pending = ""
+    bits = ""
     while True:
         chunk = _read_full(src, max(4096, (block_size + 7) // 8))
+        bits += bin(int.from_bytes(chunk, "little") | 1 << 8 * len(chunk))[:2:-1]
+        end = len(bits) - len(bits) % block_size if chunk else len(bits)
+        for start in range(0, end, block_size):
+            n = min(block_size, end - start)
+            rank, ones, permutations = _rank_bit_string(bits[start:start + n])
+            yield n, rank, [n - ones, ones], permutations
         if not chunk:
-            break
-        digits = format(int.from_bytes(chunk, "little"), f"0{8 * len(chunk)}b")
-        bits = pending + digits[::-1]
-        whole = len(bits) - len(bits) % block_size
-        for start in range(0, whole, block_size):
-            yield bits[start:start + block_size]
-        pending = bits[whole:]
-    if pending:
-        yield pending
+            return
+        bits = bits[end:]
 
 
-def _ranked_blocks(src, block_size, mode):
-    """(n, entries, rank, P) for each block of `src`, each ranked in one pass."""
+def _bit_tallies(data, block_size):
+    """(n, counts) for each block of bits, from one popcount each."""
+    total = 8 * len(data)
+    for start in range(0, total, block_size):
+        n = min(block_size, total - start)
+        word = int.from_bytes(data[start >> 3:(start + n + 7) >> 3], "little")
+        ones = (word >> (start & 7) & ((1 << n) - 1)).bit_count()
+        yield n, [n - ones, ones]
+
+
+def _unrank_bit_block(rank, counts, permutations):
+    return _unrank_bits(rank, counts[0], counts[1])
+
+
+class _Mode:
+    """What one archive mode does differently; see the module docstring.
+
+    `ranked(src, block_size)` and `tallied(data, block_size)` yield
+    (n, rank, counts, P) and (n, counts) per block, `unrank(rank, counts,
+    P)` gives a block back as one little-endian int of n symbols, and a
+    table names `symbols` ids at most. `counts` are indexed by symbol id.
+    Entries call the codec through this module's globals, so a patched
+    global sees every call.
+    """
+
+    def __init__(self, symbols, ranked, tallied, unrank):
+        self.symbols = symbols
+        self.unit = (symbols - 1).bit_length()  # bits per symbol
+        self.ranked = ranked
+        self.tallied = tallied
+        self.unrank = unrank
+
+
+_MODES = {
+    MODE_BYTE: _Mode(256, _byte_blocks, _byte_tallies, _unrank_byte_block),
+    MODE_BIT: _Mode(2, _bit_blocks, _bit_tallies, _unrank_bit_block),
+}
+
+
+def _coding(block_size, mode):
+    """The `_MODES` entry for `mode`, once the arguments are checked."""
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _MODES[mode]
+
+
+def _read_errors_tagged(blocks):
+    """`blocks`, with a read error tagged by the index of its block."""
     index = 0
-    if mode == MODE_BYTE:
-        while True:
-            try:
-                chunk = _read_full(src, block_size)
-            except OSError as exc:
-                raise OSError(f"reading block {index}: {exc}") from exc
-            if not chunk:
-                return
-            rank, counts, permutations = _rank_message(chunk, BYTE_ALPHABET)
-            # a byte is its own rank in BYTE_ALPHABET
-            entries = [(s, c) for s, c in enumerate(counts) if c]
-            yield len(chunk), entries, rank, permutations
+    try:
+        for block in blocks:
+            yield block
             index += 1
-    else:
-        try:
-            for bits in _bit_strings(src, block_size):
-                n = len(bits)
-                rank, ones, permutations = _rank_bit_string(bits)
-                entries = [(s, c) for s, c in ((0, n - ones), (1, ones)) if c]
-                yield n, entries, rank, permutations
-                index += 1
-        except OSError as exc:
-            raise OSError(f"reading block {index}: {exc}") from exc
+    except OSError as exc:
+        raise OSError(f"reading block {index}: {exc}") from exc
 
 
 def compress(src, dst, *, block_size: int = DEFAULT_BLOCK_SIZE, mode: int = MODE_BYTE):
@@ -217,35 +272,20 @@ def compress(src, dst, *, block_size: int = DEFAULT_BLOCK_SIZE, mode: int = MODE
     Every block is a single adaptive pass: the counts tallied while
     ranking the block become its header.
     """
-    _check_coding(block_size, mode)
+    blocks = _coding(block_size, mode).ranked(src, block_size)
     dst.write(MAGIC)
     dst.write(bytes((mode,)))
 
     def frames():
-        for n, entries, rank, permutations in _ranked_blocks(src, block_size, mode):
+        for n, rank, counts, permutations in _read_errors_tagged(blocks):
             width = rank_width_bits(permutations)
-            header = _frame(n, entries, width)
+            header = _frame(n, counts, width)
             dst.write(header + rank.to_bytes((width + 7) // 8, "big"))
             yield n, header, width
 
     summary = _summary(frames())
     dst.write(write_varint(0))
     return summary
-
-
-def _tallied_blocks(data, block_size, mode):
-    """(n, entries) for each block of `data`, from symbol counts alone."""
-    if mode == MODE_BYTE:
-        for start in range(0, len(data), block_size):
-            chunk = data[start:start + block_size]
-            yield len(chunk), sorted(Counter(chunk).items())
-    else:
-        total = 8 * len(data)
-        for start in range(0, total, block_size):
-            n = min(block_size, total - start)
-            word = int.from_bytes(data[start >> 3:(start + n + 7) >> 3], "little")
-            ones = (word >> (start & 7) & ((1 << n) - 1)).bit_count()
-            yield n, [(s, c) for s, c in ((0, n - ones), (1, ones)) if c]
 
 
 def summarize(data: bytes, *, block_size: int = DEFAULT_BLOCK_SIZE,
@@ -255,30 +295,30 @@ def summarize(data: bytes, *, block_size: int = DEFAULT_BLOCK_SIZE,
     A block's header and payload width follow from its symbol counts, so
     each block is only tallied.
     """
-    _check_coding(block_size, mode)
+    blocks = _coding(block_size, mode).tallied(data, block_size)
 
     def frames():
-        for n, entries in _tallied_blocks(data, block_size, mode):
-            width = _payload_width([count for _, count in entries])
-            yield n, _frame(n, entries, width), width
+        for n, counts in blocks:
+            width = _payload_width(counts)
+            yield n, _frame(n, counts, width), width
 
     return _summary(frames())
 
 
-def _read_block_table(reader, n, index, max_symbol):
-    """Parse one block's symbol entries; returns a count per symbol id."""
+def _read_block_table(reader, n, index, symbols):
+    """Parse one block's table; returns a count for each of `symbols` ids."""
     what = f"block {index}"
     distinct = reader.varint(what)
-    if not 1 <= distinct <= max_symbol + 1:
+    if not 1 <= distinct <= symbols:
         raise ArchiveError(f"{what}: invalid distinct-symbol count {distinct}")
-    counts = [0] * (max_symbol + 1)
+    counts = [0] * symbols
     previous = -1
     total = 0
     for _ in range(distinct):
         symbol = reader.byte(what)
         if symbol <= previous:
             raise ArchiveError(f"{what}: symbol entries not strictly ascending")
-        if symbol > max_symbol:
+        if symbol >= symbols:
             raise ArchiveError(f"{what}: symbol {symbol} invalid for this mode")
         count = reader.varint(what)
         if count < 1:
@@ -375,46 +415,42 @@ def decompress(src, dst):
     if reader.exact(4, "archive magic") != MAGIC:
         raise ArchiveError("bad magic: not a CBE archive")
     mode = reader.byte("archive mode")
-    if mode not in (MODE_BYTE, MODE_BIT):
+    if mode not in _MODES:
         raise ArchiveError(f"unknown mode byte 0x{mode:02x}")
+    coding = _MODES[mode]
 
     index = 0
-    bit_acc = 0
-    bit_fill = 0
-    while True:
-        n = reader.varint("block length")
-        if n == 0:
-            break
+    acc = 0  # bits written by earlier blocks but not yet a whole byte
+    fill = 0  # how many: always 0 in byte mode
+    while n := reader.varint("block length"):
         index += 1
-        counts = _read_block_table(reader, n, index, 255 if mode == MODE_BYTE else 1)
+        counts = _read_block_table(reader, n, index, coding.symbols)
         rank, permutations = _read_block_rank(reader, index, counts)
-        if mode == MODE_BIT and permutations == 1:
-            # n equal bits: top up the pending byte, stream whole bytes,
-            # and carry the rest (the pending byte is empty by then)
-            byte = 0xFF if counts[1] else 0x00
-            fill = min(n, -bit_fill % 8)
-            bit_acc |= (byte >> (8 - fill)) << bit_fill
-            bit_fill += fill
-            n -= fill
-            if bit_fill == 8:
-                dst.write(bytes((bit_acc,)))
-                bit_acc = bit_fill = 0
-            _write_run(dst, byte, n >> 3)
-            bit_fill += n & 7
-            bit_acc |= byte >> (8 - (n & 7))
-        elif mode == MODE_BIT:
-            # the block goes above the pending bits; whole bytes go out
-            bit_acc |= _unrank_bits(rank, counts[0], counts[1]) << bit_fill
-            whole, bit_fill = (bit_fill + n) >> 3, (bit_fill + n) & 7
-            packed = bit_acc.to_bytes(whole + 1, "little")
-            dst.write(packed[:whole])
-            bit_acc = packed[whole]
-        elif permutations == 1:
-            # one symbol, n times: stream it rather than unrank n arrivals
-            _write_run(dst, counts.index(n), n)
+        bits = n * coding.unit
+        if permutations == 1:
+            # one symbol, n times, streamed rather than unranked. `byte`
+            # repeats its bits (s, or 0xFF * s): top up the pending byte,
+            # write whole bytes, and carry the rest (the pending byte is
+            # empty by then)
+            byte = counts.index(n) * 0xFF // (coding.symbols - 1)
+            top = min(bits, -fill % 8)
+            acc |= (byte >> (8 - top)) << fill
+            fill += top
+            bits -= top
+            if fill == 8:
+                dst.write(bytes((acc,)))
+                acc = fill = 0
+            _write_run(dst, byte, bits >> 3)
+            fill += bits & 7
+            acc |= byte >> (8 - (bits & 7))
         else:
-            dst.write(bytes(_unrank_counts(rank, counts, permutations)))
-    if mode == MODE_BIT and bit_fill:
+            # the block goes above the pending bits; whole bytes go out
+            acc |= coding.unrank(rank, counts, permutations) << fill
+            whole, fill = (fill + bits) >> 3, (fill + bits) & 7
+            packed = acc.to_bytes(whole + 1, "little")
+            dst.write(packed[:whole])
+            acc = packed[whole]
+    if fill:
         raise ArchiveError("bit stream does not end on a byte boundary")
     if src.read(1):
         raise ArchiveError("trailing data after terminator")

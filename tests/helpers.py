@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import copy
+import io
 import pickle
 from functools import cache
 from math import factorial, prod
@@ -65,3 +66,19 @@ def check_frozen_record(record, equal, unequal, fields: dict):
         assert type(clone) is type(record)
         assert clone == record and hash(clone) == hash(record)
         assert repr(clone) == repr(record)
+
+
+class FailingSource:
+    """Readable source that records every read request and raises
+    OSError("disk on fire") on read number `fail_at`, counting from 0."""
+
+    def __init__(self, data, fail_at=None):
+        self._fp = io.BytesIO(data)
+        self._fail_at = fail_at
+        self.requests = []
+
+    def read(self, size):
+        if len(self.requests) == self._fail_at:
+            raise OSError("disk on fire")
+        self.requests.append(size)
+        return self._fp.read(size)

@@ -7,6 +7,7 @@ import pytest
 
 from cbe.cli import main
 from cbe.container import MODE_BIT, compress_bytes
+from helpers import FailingSource
 
 
 def run(*argv, capsys=None):
@@ -71,6 +72,30 @@ class TestCompressDecompress:
         code, _, err = run("decompress", str(bogus), str(out), capsys=capsys)
         assert code == 3
         assert "bad magic" in err
+
+    @pytest.mark.parametrize("mode", ["byte", "bit"])
+    def test_huge_block_size(self, tmp_path, capsys, mode):
+        # the block size does not size a read buffer
+        src = tmp_path / "small.txt"
+        src.write_bytes(b"a small file, one block\n" * 3)
+        arc = tmp_path / "small.cbe"
+        back = tmp_path / "small.out"
+        code, _, err = run("compress", "-b", "1000000000000", "--mode", mode,
+                           str(src), str(arc), capsys=capsys)
+        assert (code, err) == (0, "")
+        assert run("decompress", str(arc), str(back), capsys=capsys)[0] == 0
+        assert back.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("mode,block_size", [("byte", 4096), ("bit", 32768)])
+    def test_read_error_is_io_error(self, capsys, monkeypatch, mode, block_size):
+        source = FailingSource(bytes(range(256)) * 80, fail_at=2)
+        monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=source))
+        monkeypatch.setattr(sys, "stdout",
+                            types.SimpleNamespace(buffer=io.BytesIO()))
+        code, _, err = run("compress", "--mode", mode, "-b", str(block_size),
+                           capsys=capsys)
+        assert code == 2
+        assert err == "cbe: reading block 2: disk on fire\n"
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _, err = run("compress", str(tmp_path / "absent"), "-",
