@@ -13,11 +13,10 @@ from contextlib import contextmanager
 
 from . import container
 from .codec import RankRangeError, decode, encode
-from .container import ArchiveError, DEFAULT_BLOCK_SIZE, summarize
+from .container import ArchiveError, DEFAULT_BLOCK_CAP, DEFAULT_BLOCK_SIZE, summarize
 from .multiset import (
     Alphabet,
     FrequencyTable,
-    build_frequency_table,
     BIT_ALPHABET,
     BYTE_ALPHABET,
     message_stats,
@@ -29,7 +28,9 @@ EXIT_IO = 2
 EXIT_FORMAT = 3
 EXIT_SELFTEST = 4
 
-_MODES = {"byte": container.MODE_BYTE, "bit": container.MODE_BIT}
+# each mode's byte in the archive, and the alphabet its counts index
+_MODES = {"byte": (container.MODE_BYTE, BYTE_ALPHABET),
+          "bit": (container.MODE_BIT, BIT_ALPHABET)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,6 +70,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("decompress", help="decode an archive")
     add_io(p)
+    p.add_argument("--block-cap", type=int, default=DEFAULT_BLOCK_CAP,
+                   metavar="N",
+                   help="refuse blocks of more than N symbols "
+                        "(default %(default)s)")
 
     p = sub.add_parser("stats", help="entropy and size report for an input")
     add_io(p, output=False)
@@ -95,6 +100,8 @@ def parse_args(argv=None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if "block_size" in args and args.block_size < 1:
         parser.error("block size must be at least 1")
+    if "block_cap" in args and args.block_cap < 1:
+        parser.error("block cap must be at least 1")
     if args.command == "unrank":
         try:
             args.index = int(args.index)
@@ -127,26 +134,22 @@ def _open_output(path):
 def run_compress(args: argparse.Namespace) -> int:
     with _open_input(args.input) as src, _open_output(args.output) as dst:
         container.compress(src, dst, block_size=args.block_size,
-                           mode=_MODES[args.mode])
+                           mode=_MODES[args.mode][0])
     return EXIT_OK
 
 
 def run_decompress(args: argparse.Namespace) -> int:
     with _open_input(args.input) as src, _open_output(args.output) as dst:
-        container.decompress(src, dst)
+        container.decompress(src, dst, block_cap=args.block_cap)
     return EXIT_OK
 
 
 def run_stats(args: argparse.Namespace) -> int:
     with _open_input(args.input) as src:
         data = src.read()
-    if args.mode == "byte":
-        table = build_frequency_table(data, BYTE_ALPHABET)
-    else:
-        ones = int.from_bytes(data, "little").bit_count()
-        table = FrequencyTable(BIT_ALPHABET, (8 * len(data) - ones, ones))
-    stats = message_stats(table)
-    summary = summarize(data, block_size=args.block_size, mode=_MODES[args.mode])
+    mode, alphabet = _MODES[args.mode]
+    summary, counts = summarize(data, block_size=args.block_size, mode=mode)
+    stats = message_stats(FrequencyTable(alphabet, counts))
     lines = [
         f"n={stats.n}",
         f"t_effective={stats.t_effective}",

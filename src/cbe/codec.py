@@ -55,10 +55,14 @@ enumerative code), with the same ranks. `_rank_bit_string` finds the
 block's runs with one regular expression and rolls a single binomial
 coefficient across each run in one exact step: the ones of a run
 telescope to the coefficient after it minus the coefficient before it,
-and the final coefficient is the block's arrangement count.
-`_unrank_bits` walks the positions down, one exact step per bit, and
-returns the block as one int. `encode_binary`/`decode_binary` wrap
-them for bit lists.
+and the final coefficient is the block's arrangement count. A long
+run takes the coefficient whole from `math.comb` instead (see
+`_LONG_RUN`), so it costs about the width of its result.
+`_unrank_bits` walks the positions down, one exact step per bit, two
+per step through sparser zeros, and returns the block as one int.
+Where zeros leave long gaps it jumps to the next one in one step,
+guessed in floats and checked exactly, and it stops once the rank is
+spent. `encode_binary`/`decode_binary` wrap them for bit lists.
 """
 
 import math
@@ -101,6 +105,23 @@ _LN2 = math.log(2)  # `_ln` scales wide values by powers of two
 # out with `_BIT_CHARS`.
 _runs = None
 _BIT_CHARS = {0: "0", 1: "1"}
+
+# A run longer than this, and than half the count on the other side of
+# the binomial coefficient it moves (the ones before a zero run, the
+# zeros before a one run), is not rolled: rolling multiplies by operands
+# about run * log2(position) bits wide, while `math.comb` costs about the
+# width of its result. Random 4096-bit blocks have no run this long.
+_LONG_RUN = 32
+
+# `_unrank_bits` steps over zeros one position at a time while at most
+# `_PAIR` positions remain per remaining one, and two at a time beyond
+# that; past `_JUMP` positions per one, a gap that outlasts its first
+# two-position step is jumped to its end. A two-position step multiplies
+# and divides by single-digit ints below 32768 positions; a jump costs
+# about as much as 25 such steps, so ones bunched among long gaps are
+# not jumped to one at a time.
+_PAIR = 4
+_JUMP = 32
 
 # `_rank_message` splices each run of rank k into its sorted bytearray
 # of arrivals as `_BYTE_PIECES[k] * r`, and `_END` ends its wide loop,
@@ -162,8 +183,12 @@ def _rank_bit_string(s):
     perm(e, r) / perm(ones + r, r). The r ones of a run add
     C(i + b, ones + b + 1) for b < r, which telescopes to the new
     coefficient minus the old, so a run costs one multiply and one
-    divide however long it is. Runs are matched a zero run and the
-    following one run at a time, which halves the loop's trips.
+    divide however long it is. A long run takes the new coefficient
+    from `math.comb` instead (see `_LONG_RUN`). Runs are matched a zero
+    run and the following one run at a time, which halves the loop's
+    trips; the trailing zeros are cut off first, since a match that
+    fails at the end would cost the pattern time quadratic in their
+    number.
     """
     global _runs
     if _runs is None:
@@ -173,21 +198,33 @@ def _rank_bit_string(s):
     coeff = mpz(1)
     ones = 0
     i = 0
-    for zero_run, one_run in _runs(s):
+    for zero_run, one_run in _runs(s[:s.rfind("1") + 1]):
         r = len(zero_run)
-        if r:
-            i += r
-            if ones:  # C(i, 0) == 1 until the first one
+        i += r
+        if r and ones:  # C(i, 0) == 1 until the first one
+            if r == 1:
+                coeff = coeff * i // (i - ones)
+            elif r > _LONG_RUN and 2 * r > ones:
+                coeff = mpz(math.comb(i, ones))
+            else:
                 coeff = coeff * math.perm(i, r) // math.perm(i - ones, r)
         r = len(one_run)
         i += r
-        new = coeff * math.perm(i, r) // math.perm(ones + r, r)
+        if r == 1:
+            new = coeff * i // (ones + 1)
+        elif r > _LONG_RUN and 2 * r > i - ones - r:
+            new = mpz(math.comb(i, i - ones - r))
+        else:
+            new = coeff * math.perm(i, r) // math.perm(ones + r, r)
         rank += new - coeff
         coeff = new
         ones += r
-    n = len(s)
-    if ones and n > i:  # trailing zeros
-        coeff = coeff * math.perm(n, n - i) // math.perm(n - ones, n - i)
+    r = len(s) - i
+    if ones and r:  # trailing zeros
+        if r > _LONG_RUN and 2 * r > ones:
+            coeff = mpz(math.comb(len(s), ones))
+        else:
+            coeff = coeff * math.perm(len(s), r) // math.perm(len(s) - ones, r)
     return int(rank), ones, int(coeff)
 
 
@@ -215,27 +252,93 @@ def _unrank_bits(rank, zeros, ones):
     Caller guarantees 0 <= rank < C(zeros+ones, ones). Walks positions
     from most significant down: with the position index equal to the
     number of remaining lower positions, a ONE is placed whenever the
-    rank covers every arrangement that would put a ZERO there. The
-    ones are marked in a numeral that is read back as one int.
+    rank covers every arrangement that would put a ZERO there. Zeros
+    are passed one or two positions a step, or, where the ones left are
+    sparse, in one jump to the next one (`_next_one`); see `_PAIR` and
+    `_JUMP`. Once the rank is spent, the ones left take the lowest
+    positions, so the walk ends at the lowest one it must place rather
+    than at position 0. The ones are marked in a numeral that is read
+    back as one int.
     """
     n = zeros + ones
     if n == 0:
         return 0
-    # threshold tracks C(pos, ones); stays 0 while only ones remain.
     rank = mpz(rank)
-    threshold = mpz(math.comb(n - 1, ones))
-    digits = bytearray(b"0") * n  # arrival order; reversed at the end
-    for pos in range(n - 1, -1, -1):
-        if rank >= threshold:
-            rank -= threshold
-            digits[pos] = 0x31
-            if pos:
-                threshold = threshold * ones // pos
-            ones -= 1
-        elif pos:
-            threshold = threshold * (pos - ones) // pos
-    assert rank == 0 and ones == 0
+    # arrival order, reversed at the end. Built from bytes: CPython 3.11
+    # also prints a SystemError when `bytearray(b"0") * n` runs out of
+    # memory
+    digits = bytearray(b"0" * n)
+    pos = n - 1
+    threshold = mpz(math.comb(pos, ones))  # tracks C(pos, ones)
+    while rank:
+        if rank < threshold:  # zeros from pos down to the next one
+            if pos <= _PAIR * ones:
+                while rank < threshold:
+                    threshold = threshold * (pos - ones) // pos
+                    pos -= 1
+            else:
+                jump = pos > _JUMP * ones
+                while True:  # pos is a zero; below is C(pos - 2, ones)
+                    below = (threshold * ((pos - ones) * (pos - 1 - ones))
+                             // (pos * (pos - 1)))
+                    if rank < below:
+                        threshold = below
+                        pos -= 2
+                        if jump:
+                            pos, threshold = _next_one(rank, threshold, pos, ones)
+                            break
+                        continue
+                    mid = threshold * (pos - ones) // pos
+                    if rank < mid:  # the one is at pos - 2
+                        threshold = below
+                        pos -= 2
+                    else:
+                        threshold = mid
+                        pos -= 1
+                    break
+        rank -= threshold
+        digits[pos] = 0x31
+        threshold = threshold * ones // pos
+        ones -= 1
+        pos -= 1
+    digits[:ones] = b"1" * ones  # rank 0: the lowest arrangement
     return int(digits[::-1], 2)
+
+
+def _next_one(rank, threshold, pos, ones):
+    """(q, C(q, ones)) for the largest q with C(q, ones) <= rank.
+
+    `_unrank_bits` state: 1 <= rank < threshold = C(pos, ones), so the
+    next one sits at some q in [ones, pos) and every position between
+    is a zero. C(pos - g, ones) / threshold is the product of
+    (pos - t - ones) / (pos - t) over t < g, whose log is close to g
+    times the log of its middle factor: the gap g is solved for with
+    the first factor, then once more with the middle one of the gap
+    found. The coefficient is rolled across the guessed gap in one
+    exact step, or taken from `math.comb` past `_LONG_RUN` as
+    `_rank_bit_string` does, and the guess is walked to q exactly.
+    """
+    ratio = rank / threshold  # in (0, 1), unless it underflows
+    target = math.log(ratio) if ratio else _ln(rank) - _ln(threshold)
+    g = min(target / math.log1p(-ones / pos), pos - ones)
+    g = max(1, min(math.ceil(target / math.log1p(-ones / (pos - g / 2))), pos - ones))
+    q = pos - g
+    if g > _LONG_RUN and 2 * g > ones:
+        coeff = mpz(math.comb(q, ones))
+    else:
+        coeff = threshold * math.perm(pos - ones, g) // math.perm(pos, g)
+    if coeff > rank:
+        while coeff > rank:  # ends by q == ones, where C(q, ones) == 1
+            coeff = coeff * (q - ones) // q
+            q -= 1
+    else:
+        while True:  # ends by q + 1 == pos, where C(pos, ones) > rank
+            up = coeff * (q + 1) // (q + 1 - ones)
+            if up > rank:
+                break
+            coeff = up
+            q += 1
+    return q, coeff
 
 
 def encode(message, alphabet: Alphabet):
@@ -595,8 +698,11 @@ def _run_length(rank, total, m, c, lo):
     in the j-th interval exactly when -lo*tot_j <= d < hi*tot_j, where
     hi = m - c - lo; that is side*tot_j >= bound for one of the two
     sides, fixed by the sign of d. J is the largest such j <= c.
-    `_run_guess` estimates it in floats; the guess is checked exactly
-    at J and at J + 1 and walked to the exact J if either check fails.
+    `_run_guess` estimates it in floats. tot_j at the guess comes from
+    the perms or, for a run longer than `_LONG_RUN` and than m - c,
+    from binomials over the m - c other symbols, as `_rank_bit_string`
+    takes a long run's coefficient. It is checked exactly at J and at
+    J + 1 and walked to the exact J if either check fails.
     A symbol holding at most half of what remains is tried only after
     a repeat, and its runs mostly end there, so j = 2 is checked first.
     """
@@ -612,7 +718,12 @@ def _run_length(rank, total, m, c, lo):
         if side * (tot_j * (c - 1) // (m - 1)) < bound:
             return 1, tot_j
     j = _run_guess(bound, side, total, m, c)
-    tot_j = total * math.perm(c, j) // math.perm(m, j)
+    if j > _LONG_RUN and j > m - c:
+        # perm(c, j) / perm(m, j) == C(m - j, m - c) / C(m, m - c), whose
+        # binomials cost about m - c factors where the perms cost j
+        tot_j = total * math.comb(m - j, m - c) // math.comb(m, m - c)
+    else:
+        tot_j = total * math.perm(c, j) // math.perm(m, j)
     if side * tot_j >= bound:
         while j < c:  # is position m - j - 1 the same symbol?
             nxt = tot_j * (c - j) // (m - j)

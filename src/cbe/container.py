@@ -1,17 +1,38 @@
 """Block archive framing for the rank codec.
 
-Layout (integers are canonical little-endian base-128 varints):
+`compress` writes the `CBE2` layout. Integers are canonical
+little-endian base-128 varints, and fixed-width fields are big-endian:
 
-    magic   4 bytes   b"CBE1"
+    magic   4 bytes   b"CBE2"
     mode    1 byte    0x01 byte symbols, 0x02 bit symbols
-    block*  varint    n, symbols in the block, >= 1
-            varint    d, distinct symbols present, >= 1
-            d times   symbol id (1 byte), count (varint >= 1),
-                      strictly ascending symbol ids
-            varint    payload_len == ceil(ceil(log2 P) / 8) for the
-                      block's table, where P is its arrangement count
-            bytes     the block's rank, big-endian, payload_len bytes
+    cap     varint    the writer's block size, >= 1
+    block*  varint    n, symbols in the block, 1 <= n <= cap
+            varint    d, distinct symbols present, 1 <= d <= min(S, n)
+            bytes     the table: support * C(n-1, d-1) + composition,
+                      in ceil(ceil(log2(C(S, d) * C(n-1, d-1))) / 8) bytes
+            bytes     the block's rank, in ceil(ceil(log2 P) / 8) bytes,
+                      where P is its arrangement count
+            4 bytes   zlib.crc32 of the block's symbols, packed LSB first
     end     varint 0  terminator; nothing may follow
+
+S is 256 in byte mode and 2 in bit mode. The table is Cover's two-part
+enumerative code for the block's symbol counts. The support, the set of
+symbol ids present, is ranked among the C(S, d) sets as the S-bit string
+whose bit s is set when symbol s occurs. The composition, the d nonzero
+counts c_1..c_d in ascending symbol order, is ranked among the
+C(n-1, d-1) compositions of n as the (n-1)-bit string of c_1 - 1 zeros,
+a one, c_2 - 1 zeros, a one, ..., c_d - 1 zeros. The bit codec ranks
+and unranks both, as it ranks bit-mode blocks. Every width follows
+from (S, n, d) and the counts, so a block carries no lengths.
+
+`decompress` also reads `CBE1`, the layout before it: magic b"CBE1",
+the mode byte, no cap, and per block a varint n, a varint d, d pairs of
+(symbol id byte, varint count) in strictly ascending id order, a varint
+payload length and the rank, with no CRC; the same varint 0 ends it. It
+refuses any block longer than its `block_cap`, or than a `CBE2` stream's
+own cap, before any arithmetic, so that the output is bounded by the
+archive's size times the cap. A block that does not fit in memory fails
+as `ArchiveError` too.
 
 Each block is independently decodable: its table is complete side
 information for its rank. Bit mode unpacks every input byte least
@@ -30,18 +51,24 @@ block size.
 """
 
 import io
-import itertools
 import math
+import zlib
 from collections import Counter
 
 from .binomials import multinomial
 from .codec import _rank_bit_string, _rank_message, _unrank_bits, _unrank_counts
 from .multiset import BYTE_ALPHABET, FrozenRecord, log2_arrangements, rank_width_bits
 
-MAGIC = b"CBE1"
+MAGIC = b"CBE2"
+MAGIC_CBE1 = b"CBE1"  # read, never written
 MODE_BYTE = 0x01
 MODE_BIT = 0x02
 DEFAULT_BLOCK_SIZE = 4096
+# The longest block `decompress` accepts unless told otherwise: 256
+# default blocks, 1 MiB of bytes or 128 KiB of bits.
+DEFAULT_BLOCK_CAP = 1 << 20
+_CRC_BYTES = 4
+_FEW_SYMBOLS = 16  # `summarize` counts tables of at most this many exactly
 _RUN_PIECE = 1 << 16  # largest single read, and largest write of a run
 
 
@@ -121,7 +148,7 @@ def _read_full(src, size: int) -> bytes:
     huge block size nor a hostile length sizes a read buffer.
     """
     parts = []
-    while size:
+    while size > 0:
         chunk = src.read(min(size, _RUN_PIECE))
         if not chunk:
             break
@@ -130,31 +157,44 @@ def _read_full(src, size: int) -> bytes:
     return b"".join(parts)
 
 
-def _frame(n, counts, width):
-    """One block's header bytes, for a rank `width` bits wide.
-
-    The single place that lays out a block's framing: `compress` writes
-    this header ahead of the rank, `summarize` only measures it. The
-    table lists the nonzero `counts`, which are indexed by symbol id.
-    """
-    parts = [write_varint(n), write_varint(len(counts) - counts.count(0))]
-    for symbol, count in itertools.compress(enumerate(counts), counts):
-        parts.append(bytes((symbol,)))
-        parts.append(write_varint(count))
-    parts.append(write_varint((width + 7) // 8))
-    return b"".join(parts)
+def _table_rank(counts):
+    """(rank, count) of a block's table: the rank of its support and
+    composition (see the module docstring) among `count` tables."""
+    support, _, sets = _rank_bit_string("".join("1" if c else "0" for c in counts))
+    parts, _, compositions = _rank_bit_string("1".join("0" * (c - 1) for c in counts if c))
+    return support * compositions + parts, sets * compositions
 
 
-def _summary(frames):
-    """ArchiveSummary of an archive whose blocks frame as (n, header, width)."""
+def _table_counts(rank, symbols, n, d, compositions):
+    """Counts per symbol id for a table rank, given C(n-1, d-1)."""
+    support, parts = divmod(rank, compositions)
+    present = bin(_unrank_bits(support, symbols - d, d) | 1 << symbols)[:2:-1]
+    sizes = [n]
+    if d > 1:  # else n has one composition, and a run need not be spelled out
+        bars = bin(_unrank_bits(parts, n - d, d - 1) | 1 << (n - 1))[:2:-1]
+        sizes = [len(zeros) + 1 for zeros in bars.split("1")]
+    sizes = iter(sizes)
+    return [next(sizes) if bit == "1" else 0 for bit in present]
+
+
+def _framing_bytes(n, d, table_width):
+    """Bytes a block spends besides its rank: n, d, table and CRC."""
+    return (len(write_varint(n)) + len(write_varint(d)) + (table_width + 7) // 8
+            + _CRC_BYTES)
+
+
+def _summary(frames, block_size):
+    """ArchiveSummary of an archive whose blocks frame as
+    (n, framing bytes, rank width)."""
     blocks = symbols = payload_bits = payload_bytes = 0
-    overhead = len(MAGIC) + 2  # mode byte and end marker
-    for n, header, width in frames:
+    # magic, mode byte, cap and end marker
+    overhead = len(MAGIC) + 1 + len(write_varint(block_size)) + 1
+    for n, framing, width in frames:
         blocks += 1
         symbols += n
         payload_bits += width
         payload_bytes += (width + 7) // 8
-        overhead += len(header)
+        overhead += framing
     return ArchiveSummary(
         blocks=blocks,
         symbols=symbols,
@@ -165,11 +205,11 @@ def _summary(frames):
 
 
 def _byte_blocks(src, block_size):
-    """(n, rank, counts, P) for each block of bytes, ranked in one pass."""
+    """(n, rank, counts, P, CRC) for each block of bytes, ranked in one pass."""
     while chunk := _read_full(src, block_size):
         # a byte is its own rank in BYTE_ALPHABET
         rank, counts, permutations = _rank_message(chunk, BYTE_ALPHABET)
-        yield len(chunk), rank, counts, permutations
+        yield len(chunk), rank, counts, permutations, zlib.crc32(chunk)
 
 
 def _byte_tallies(data, block_size):
@@ -187,7 +227,7 @@ def _unrank_byte_block(rank, counts, permutations):
 
 
 def _bit_blocks(src, block_size):
-    """(n, rank, counts, P) for each block of bits, in arrival order.
+    """(n, rank, counts, P, CRC) for each block of bits, in arrival order.
 
     Each read chunk is spelled out LSB first by one `bin` of its
     little-endian int with a marker bit above it; the bits past the
@@ -200,8 +240,10 @@ def _bit_blocks(src, block_size):
         end = len(bits) - len(bits) % block_size if chunk else len(bits)
         for start in range(0, end, block_size):
             n = min(block_size, end - start)
-            rank, ones, permutations = _rank_bit_string(bits[start:start + n])
-            yield n, rank, [n - ones, ones], permutations
+            block = bits[start:start + n]
+            rank, ones, permutations = _rank_bit_string(block)
+            packed = int(block[::-1], 2).to_bytes((n + 7) // 8, "little")
+            yield n, rank, [n - ones, ones], permutations, zlib.crc32(packed)
         if not chunk:
             return
         bits = bits[end:]
@@ -225,11 +267,11 @@ class _Mode:
     """What one archive mode does differently; see the module docstring.
 
     `ranked(src, block_size)` and `tallied(data, block_size)` yield
-    (n, rank, counts, P) and (n, counts) per block, `unrank(rank, counts,
-    P)` gives a block back as one little-endian int of n symbols, and a
-    table names `symbols` ids at most. `counts` are indexed by symbol id.
-    Entries call the codec through this module's globals, so a patched
-    global sees every call.
+    (n, rank, counts, P, CRC) and (n, counts) per block, `unrank(rank,
+    counts, P)` gives a block back as one little-endian int of n
+    symbols, and a table names `symbols` ids at most. `counts` are
+    indexed by symbol id. Entries call the codec through this module's
+    globals, so a patched global sees every call.
     """
 
     def __init__(self, symbols, ranked, tallied, unrank):
@@ -270,44 +312,57 @@ def compress(src, dst, *, block_size: int = DEFAULT_BLOCK_SIZE, mode: int = MODE
     """Encode `src` into `dst` as independent blocks; returns ArchiveSummary.
 
     Every block is a single adaptive pass: the counts tallied while
-    ranking the block become its header.
+    ranking the block become its table.
     """
     blocks = _coding(block_size, mode).ranked(src, block_size)
-    dst.write(MAGIC)
-    dst.write(bytes((mode,)))
+    dst.write(MAGIC + bytes((mode,)) + write_varint(block_size))
 
     def frames():
-        for n, rank, counts, permutations in _read_errors_tagged(blocks):
+        for n, rank, counts, permutations, crc in _read_errors_tagged(blocks):
+            table, tables = _table_rank(counts)
+            table_width = rank_width_bits(tables)
             width = rank_width_bits(permutations)
-            header = _frame(n, counts, width)
-            dst.write(header + rank.to_bytes((width + 7) // 8, "big"))
-            yield n, header, width
+            d = len(counts) - counts.count(0)
+            dst.write(b"".join((
+                write_varint(n), write_varint(d),
+                table.to_bytes((table_width + 7) // 8, "big"),
+                rank.to_bytes((width + 7) // 8, "big"),
+                crc.to_bytes(_CRC_BYTES, "big"),
+            )))
+            yield n, _framing_bytes(n, d, table_width), width
 
-    summary = _summary(frames())
+    summary = _summary(frames(), block_size)
     dst.write(write_varint(0))
     return summary
 
 
 def summarize(data: bytes, *, block_size: int = DEFAULT_BLOCK_SIZE,
-              mode: int = MODE_BYTE) -> ArchiveSummary:
-    """The ArchiveSummary `compress` returns for `data`, without ranking.
+              mode: int = MODE_BYTE):
+    """(ArchiveSummary, counts): what `compress` returns for `data`, and
+    its symbol counts summed over the blocks, indexed by symbol id.
 
-    A block's header and payload width follow from its symbol counts, so
-    each block is only tallied.
+    A block's framing and payload width follow from its symbol counts,
+    so each block is only tallied, and the sums cost no second pass.
     """
-    blocks = _coding(block_size, mode).tallied(data, block_size)
+    coding = _coding(block_size, mode)
+    totals = [0] * coding.symbols
 
     def frames():
-        for n, counts in blocks:
-            width = _payload_width(counts)
-            yield n, _frame(n, counts, width), width
+        for n, counts in coding.tallied(data, block_size):
+            totals[:] = map(int.__add__, totals, counts)
+            d = len(counts) - counts.count(0)
+            tables = (d, coding.symbols - d), (d - 1, n - d)
+            # a few distinct symbols make the exact count cheaper than lgamma
+            table_width = (rank_width_bits(math.prod(map(multinomial, tables)))
+                           if d <= _FEW_SYMBOLS else _width(*tables))
+            yield n, _framing_bytes(n, d, table_width), _width(counts)
 
-    return _summary(frames())
+    return _summary(frames(), block_size), tuple(totals)
 
 
-def _read_block_table(reader, n, index, symbols):
-    """Parse one block's table; returns a count for each of `symbols` ids."""
-    what = f"block {index}"
+def _read_block_table(reader, n, what, symbols):
+    """Parse one `CBE1` block's table; returns a count for each of
+    `symbols` ids."""
     distinct = reader.varint(what)
     if not 1 <= distinct <= symbols:
         raise ArchiveError(f"{what}: invalid distinct-symbol count {distinct}")
@@ -341,20 +396,23 @@ def _log2_error(counts):
     return 1e-9 + 2e-12 * math.lgamma(sum(counts) + 1)
 
 
-def _payload_width(counts):
-    """A block's rank width ceil(log2 P), from lgamma where that is safe.
+def _width(*tables):
+    """Rank width ceil(log2 Q) for Q the product of the tables'
+    arrangement counts, from lgamma where that is safe.
 
-    When log2_arrangements lies farther than `_log2_error` from every
-    integer, log2 P lies strictly between the same two integers and the
-    width is the upper one. Otherwise, as for P == 1 and powers of two,
-    the exact count decides.
+    A block's payload width is that of its counts alone; its table's,
+    that of C(S, d) and C(n-1, d-1). When the summed
+    log2_arrangements lie farther than their summed `_log2_error` from
+    every integer, log2 Q lies strictly between the same two integers
+    and the width is the upper one. Otherwise, as for Q == 1 and
+    powers of two, the exact count decides.
     """
-    bits = log2_arrangements(counts)
-    error = _log2_error(counts)
+    bits = sum(map(log2_arrangements, tables))
+    error = sum(map(_log2_error, tables))
     below = math.floor(bits - error)
     if below < bits - error and bits + error < below + 1:
         return below + 1
-    return rank_width_bits(multinomial(counts))
+    return rank_width_bits(math.prod(map(multinomial, tables)))
 
 
 def _payload_len_bracket(counts):
@@ -369,28 +427,28 @@ def _payload_len_bracket(counts):
     return max(0, math.floor((bits - slack) / 8)), math.ceil((bits + slack) / 8) + 1
 
 
-def _read_block_rank(reader, index, counts):
+def _read_block_rank(reader, what, counts, length=None):
     """Parse one block's payload; returns (rank, arrangement count).
 
-    The length is checked against an lgamma bracket and the payload
-    read before the exact count is computed, so a block that claims a
-    huge n with a short or wrong payload fails in time bounded by the
-    archive's size.
+    A `CBE1` payload states its `length`, which is checked against an
+    lgamma bracket; a `CBE2` payload is as long as P requires. Either
+    way the bytes that lgamma proves P needs are read before the exact
+    count is computed, so a block that claims a huge n with a short or
+    wrong payload fails in time bounded by the archive's size.
     """
-    what = f"block {index}"
-    payload_len = reader.varint(what)
     low, high = _payload_len_bracket(counts)
-    if not low <= payload_len <= high:
+    if length is not None and not low <= length <= high:
         raise ArchiveError(
-            f"{what}: payload is {payload_len} bytes, table requires "
-            f"{low} to {high}"
+            f"{what}: payload is {length} bytes, table requires {low} to {high}"
         )
-    payload = reader.exact(payload_len, what)
+    payload = reader.exact(low if length is None else length, what)
     permutations = multinomial(counts)
-    expected_len = (rank_width_bits(permutations) + 7) // 8
-    if payload_len != expected_len:
+    expected = (rank_width_bits(permutations) + 7) // 8
+    if length is None:
+        payload += reader.exact(expected - low, what)
+    elif length != expected:
         raise ArchiveError(
-            f"{what}: payload is {payload_len} bytes, table requires {expected_len}"
+            f"{what}: payload is {length} bytes, table requires {expected}"
         )
     rank = int.from_bytes(payload, "big")
     if rank >= permutations:
@@ -400,39 +458,102 @@ def _read_block_rank(reader, index, counts):
     return rank, permutations
 
 
-def _write_run(dst, byte, count):
-    """Write `byte` `count` times in pieces of at most `_RUN_PIECE`."""
+def _read_block(reader, n, what, symbols):
+    """Parse the rest of one `CBE2` block: (counts, rank, P, CRC)."""
+    d = reader.varint(what)
+    if not 1 <= d <= min(symbols, n):
+        raise ArchiveError(f"{what}: invalid distinct-symbol count {d}")
+    compositions = multinomial((d - 1, n - d))
+    tables = multinomial((d, symbols - d)) * compositions
+    table = int.from_bytes(
+        reader.exact((rank_width_bits(tables) + 7) // 8, what), "big")
+    if table >= tables:
+        raise ArchiveError(f"{what}: table {table} out of range ({tables} tables)")
+    counts = _table_counts(table, symbols, n, d, compositions)
+    rank, permutations = _read_block_rank(reader, what, counts)
+    crc = int.from_bytes(reader.exact(_CRC_BYTES, what), "big")
+    return counts, rank, permutations, crc
+
+
+def _read_cbe1_block(reader, n, what, symbols):
+    """Parse the rest of one `CBE1` block: (counts, rank, P, None)."""
+    counts = _read_block_table(reader, n, what, symbols)
+    rank, permutations = _read_block_rank(reader, what, counts, reader.varint(what))
+    return counts, rank, permutations, None
+
+
+def _run_pieces(byte, count):
+    """`count` copies of `byte`, in pieces of at most `_RUN_PIECE`."""
     piece = bytes((byte,)) * min(count, _RUN_PIECE)
     while count > len(piece):
-        dst.write(piece)
+        yield piece
         count -= len(piece)
-    dst.write(piece[:count])
+    yield piece[:count]
 
 
-def decompress(src, dst):
-    """Decode an archive from `src`, writing original bytes to `dst`."""
+def _run_crc(byte, bits):
+    """CRC of a one-symbol block of `bits` bits, each symbol's bits
+    being those of `byte`, packed LSB first."""
+    crc = 0
+    for piece in _run_pieces(byte, bits >> 3):
+        crc = zlib.crc32(piece, crc)
+    if bits & 7:
+        crc = zlib.crc32(bytes((byte >> (8 - (bits & 7)),)), crc)
+    return crc
+
+
+def decompress(src, dst, *, block_cap: int = DEFAULT_BLOCK_CAP):
+    """Decode an archive from `src`, writing original bytes to `dst`.
+
+    Reads `CBE2` and `CBE1`. A block of more than `block_cap` symbols,
+    or more than a `CBE2` stream's own cap, is refused before any
+    arithmetic; the default is `DEFAULT_BLOCK_CAP`. A `CBE2` block is
+    checked against its CRC before any of it is written.
+    """
     reader = _ByteReader(src)
-    if reader.exact(4, "archive magic") != MAGIC:
+    magic = reader.exact(4, "archive magic")
+    if magic not in (MAGIC, MAGIC_CBE1):
         raise ArchiveError("bad magic: not a CBE archive")
     mode = reader.byte("archive mode")
     if mode not in _MODES:
         raise ArchiveError(f"unknown mode byte 0x{mode:02x}")
     coding = _MODES[mode]
+    read_block = _read_cbe1_block
+    if magic == MAGIC:
+        read_block = _read_block
+        declared = reader.varint("block cap")
+        if declared < 1:
+            raise ArchiveError("block cap must be at least 1")
+        block_cap = min(block_cap, declared)
 
     index = 0
     acc = 0  # bits written by earlier blocks but not yet a whole byte
     fill = 0  # how many: always 0 in byte mode
     while n := reader.varint("block length"):
         index += 1
-        counts = _read_block_table(reader, n, index, coding.symbols)
-        rank, permutations = _read_block_rank(reader, index, counts)
-        bits = n * coding.unit
-        if permutations == 1:
-            # one symbol, n times, streamed rather than unranked. `byte`
-            # repeats its bits (s, or 0xFF * s): top up the pending byte,
-            # write whole bytes, and carry the rest (the pending byte is
-            # empty by then)
-            byte = counts.index(n) * 0xFF // (coding.symbols - 1)
+        what = f"block {index}"
+        if n > block_cap:
+            raise ArchiveError(f"{what}: {n} symbols, above the cap of {block_cap}")
+        try:
+            counts, rank, permutations, crc = read_block(reader, n, what, coding.symbols)
+            bits = n * coding.unit
+            if permutations == 1:
+                # one symbol, n times, streamed rather than unranked.
+                # `byte` repeats its bits (s, or 0xFF * s)
+                byte = counts.index(n) * 0xFF // (coding.symbols - 1)
+                block = None
+                if crc is not None and crc != _run_crc(byte, bits):
+                    raise ArchiveError(f"{what}: CRC mismatch")
+            else:
+                block = coding.unrank(rank, counts, permutations)
+                if crc is not None and crc != zlib.crc32(
+                        block.to_bytes((bits + 7) // 8, "little")):
+                    raise ArchiveError(f"{what}: CRC mismatch")
+        except MemoryError:
+            raise ArchiveError(f"{what}: {n} symbols do not fit in memory") from None
+        if block is None:
+            # top up the pending byte, write whole bytes, and carry the
+            # rest (the pending byte is empty by then)
             top = min(bits, -fill % 8)
             acc |= (byte >> (8 - top)) << fill
             fill += top
@@ -440,12 +561,13 @@ def decompress(src, dst):
             if fill == 8:
                 dst.write(bytes((acc,)))
                 acc = fill = 0
-            _write_run(dst, byte, bits >> 3)
+            for piece in _run_pieces(byte, bits >> 3):
+                dst.write(piece)
             fill += bits & 7
             acc |= byte >> (8 - (bits & 7))
         else:
             # the block goes above the pending bits; whole bytes go out
-            acc |= coding.unrank(rank, counts, permutations) << fill
+            acc |= block << fill
             whole, fill = (fill + bits) >> 3, (fill + bits) & 7
             packed = acc.to_bytes(whole + 1, "little")
             dst.write(packed[:whole])
@@ -464,8 +586,8 @@ def compress_bytes(data: bytes, *, block_size: int = DEFAULT_BLOCK_SIZE,
     return out.getvalue()
 
 
-def decompress_bytes(archive: bytes) -> bytes:
+def decompress_bytes(archive: bytes, *, block_cap: int = DEFAULT_BLOCK_CAP) -> bytes:
     """`decompress` for in-memory data."""
     out = io.BytesIO()
-    decompress(io.BytesIO(archive), out)
+    decompress(io.BytesIO(archive), out, block_cap=block_cap)
     return out.getvalue()

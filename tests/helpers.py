@@ -4,12 +4,13 @@ import copy
 import io
 import pickle
 from functools import cache
-from math import factorial, prod
+from math import comb, factorial, prod
 from types import SimpleNamespace
 
 import pytest
 
-from cbe import Alphabet, FrequencyTable
+from cbe import Alphabet, FrequencyTable, MODE_BYTE
+from cbe.container import write_varint
 
 
 def table_of(*counts) -> FrequencyTable:
@@ -82,3 +83,20 @@ class FailingSource:
             raise OSError("disk on fire")
         self.requests.append(size)
         return self._fp.read(size)
+
+
+def probe_archive(magic, mode):
+    """26 bytes under `CBE1`: one block claiming n = 2^34 with counts
+    (1, 2^34 - 1) and a 5-byte payload, which passes the lgamma bracket.
+    Under `CBE2`, the same block with its declared cap, table and CRC."""
+    n = 2 ** 34
+    if magic == b"CBE1":
+        block = (write_varint(n) + write_varint(2) + b"\x00" + write_varint(1)
+                 + b"\x01" + write_varint(n - 1) + write_varint(5) + bytes(5))
+    else:
+        # the declared cap, then the block: support {0, 1} and
+        # composition (1, n - 1) both rank 0, and a CRC of zeros
+        tables = comb(256 if mode == MODE_BYTE else 2, 2) * (n - 1)
+        block = (write_varint(n) + write_varint(n) + write_varint(2)
+                 + bytes(((tables - 1).bit_length() + 7) // 8) + bytes(5) + bytes(4))
+    return magic + bytes((mode,)) + block + b"\x00"

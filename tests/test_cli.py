@@ -1,13 +1,17 @@
 import io
+import os
 import random
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
+import cbe
 from cbe.cli import main
-from cbe.container import MODE_BIT, compress_bytes
-from helpers import FailingSource
+from cbe.container import MODE_BIT, MODE_BYTE, compress_bytes
+from helpers import FailingSource, probe_archive
 
 
 def run(*argv, capsys=None):
@@ -44,7 +48,7 @@ class TestCompressDecompress:
         arc = tmp_path / "empty.cbe"
         back = tmp_path / "empty.out"
         assert run("compress", str(src), str(arc), capsys=capsys)[0] == 0
-        assert arc.read_bytes() == b"CBE1\x01\x00"
+        assert arc.read_bytes() == b"CBE2\x01\x80\x20\x00"
         assert run("decompress", str(arc), str(back), capsys=capsys)[0] == 0
         assert back.read_bytes() == b""
 
@@ -97,11 +101,58 @@ class TestCompressDecompress:
         assert code == 2
         assert err == "cbe: reading block 2: disk on fire\n"
 
+    def test_block_cap(self, tmp_path, capsys):
+        src = tmp_path / "data"
+        src.write_bytes(bytes(random.Random(6).randbytes(3000)))
+        arc = tmp_path / "data.cbe"
+        back = tmp_path / "data.out"
+        assert run("compress", "-b", "2000", str(src), str(arc), capsys=capsys)[0] == 0
+        code, _, err = run("decompress", "--block-cap", "1999", str(arc), str(back),
+                           capsys=capsys)
+        assert (code, err) == (3, "cbe: block 1: 2000 symbols, above the cap of 1999\n")
+        code, _, err = run("decompress", "--block-cap", "2000", str(arc), str(back),
+                           capsys=capsys)
+        assert (code, err) == (0, "")
+        assert back.read_bytes() == src.read_bytes()
+        assert run("decompress", "--block-cap", "0", str(arc), capsys=capsys)[0] == 1
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _, err = run("compress", str(tmp_path / "absent"), "-",
                            capsys=capsys)
         assert code == 2
         assert err != ""
+
+
+# Decompress in a child whose address space is capped at 1 GiB, so that
+# an allocation the size of a hostile block fails there with MemoryError.
+_CAPPED_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from cbe.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestHostileProbe:
+    """The probe block claims 2^34 symbols in a few dozen bytes."""
+
+    @pytest.mark.parametrize("magic", [b"CBE1", b"CBE2"])
+    @pytest.mark.parametrize("mode", [MODE_BYTE, MODE_BIT])
+    @pytest.mark.parametrize("cap", [None, str(2 ** 34)], ids=["default-cap", "raised-cap"])
+    def test_exits_three_with_one_line(self, tmp_path, magic, mode, cap):
+        # the default cap refuses the block; with the cap raised past it,
+        # memory runs out instead, which is reported the same way
+        probe = tmp_path / "probe.cbe"
+        probe.write_bytes(probe_archive(magic, mode))
+        argv = ["decompress", str(probe), str(tmp_path / "out")]
+        if cap:
+            argv[1:1] = ["--block-cap", cap]
+        env = dict(os.environ, PYTHONPATH=str(Path(cbe.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", _CAPPED_CHILD, *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("cbe: block 1: 17179869184 symbols")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestStats:
@@ -124,8 +175,8 @@ class TestStats:
             5.9069, abs=1e-4
         )
         assert fields["payload_bits"] == "6"
-        assert fields["header_bytes"] == "15"
-        assert fields["total_archive_bytes"] == "16"
+        assert fields["header_bytes"] == "18"
+        assert fields["total_archive_bytes"] == "19"
         assert float(fields["compression_ratio"]) == pytest.approx(
             1.0863, abs=1e-3
         )

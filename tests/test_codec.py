@@ -4,6 +4,7 @@ import math
 import operator
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -296,6 +297,53 @@ class TestBitRunKernel:
     def test_empty(self):
         assert _rank_bit_string("") == (0, 0, 1)
         assert _unrank_bits(0, 0, 0) == 0
+
+    @pytest.mark.parametrize("pair,jump", [(10**9, 10**9), (0, 10**9), (0, 0)],
+                             ids=["single-steps", "pairs", "jumps"])
+    @pytest.mark.parametrize("p", [0.02, 0.1, 0.5, 0.9])
+    def test_each_unrank_path(self, monkeypatch, pair, jump, p):
+        # every zero gap is passed one way: in single steps, in pairs, or
+        # in jumps, which then also start right before the next one
+        monkeypatch.setattr(codec, "_PAIR", pair)
+        monkeypatch.setattr(codec, "_JUMP", jump)
+        rng = random.Random(int(100 * p))
+        for n in (1, 2, 3, 7, 64, 513, 4096):
+            self.check([int(rng.random() < p) for _ in range(n)])
+        self.check([1] + [0] * 3000 + [1, 1] + [0] * 40 + [1])
+
+    def test_long_runs_rank_in_linear_time(self):
+        # a zero run between the ends rolls C(i, 1) across 2^18 zeros,
+        # and a one run C(i, 1) across 2^18 ones; both take math.comb
+        n = 2 ** 18
+        for s in ("1" + "0" * (n - 2) + "1", "0" + "1" * (n - 2) + "0"):
+            start = time.perf_counter()
+            rank, ones, permutations = _rank_bit_string(s)
+            assert time.perf_counter() - start < 0.2
+            assert permutations == math.comb(n, ones)
+            assert rank == sum(math.comb(i, j) for j, i in
+                               enumerate((k for k, c in enumerate(s) if c == "1"), 1))
+
+    def test_trailing_zeros_rank_in_linear_time(self):
+        # a match that fails at the end of the string would rescan the
+        # trailing zeros from each of their positions
+        s = "01" * 50 + "0" * 2 ** 18
+        start = time.perf_counter()
+        rank, ones, permutations = _rank_bit_string(s)
+        assert time.perf_counter() - start < 0.2
+        assert permutations == math.comb(len(s), 50)
+        assert rank == sum(math.comb(2 * j + 1, j + 1) for j in range(50))
+
+    @pytest.mark.parametrize("low", [0, 5, 2 ** 19])
+    def test_sparse_unrank_follows_the_ones(self, low):
+        # ones at the top and at `low` only: the walk jumps the gap and
+        # ends at the lowest one, whatever the length of the block
+        n = 2 ** 20
+        word = 1 << (n - 1) | 1 << (n - 2) | 1 << low
+        s = bin(word | 1 << n)[:2:-1]
+        rank, ones, _ = _rank_bit_string(s)
+        start = time.perf_counter()
+        assert _unrank_bits(rank, n - ones, ones) == word
+        assert time.perf_counter() - start < 0.2
 
 
 def _sparse_page(rng, size):
@@ -756,6 +804,11 @@ def _run_block(kind, size, seed):
                         for _ in range(-(-size // 40)))[:size]
     if kind == "two-symbol":
         return bytes(rng.choices(b"ab", weights=(7, 3), k=size))
+    if kind == "few-others":  # runs far longer than the other symbols left
+        data = bytearray(size)
+        for i in rng.sample(range(size), 5):
+            data[i] = rng.randrange(1, 4)
+        return bytes(data)
     data = bytes(rng.choices(range(16), k=size))
     if kind == "sorted":
         return bytes(sorted(data))
@@ -857,7 +910,8 @@ class TestRunUnrank:
     BLOCKS = [("sparse", 4096), ("sparse", 600), ("runs-40", 4096),
               ("runs-40", 400), ("sorted", 4096), ("sorted", 300),
               ("reverse-sorted", 4096), ("reverse-sorted", 300),
-              ("two-symbol", 4096), ("two-symbol", 500)]
+              ("two-symbol", 4096), ("two-symbol", 500),
+              ("few-others", 4096), ("few-others", 300)]
 
     @pytest.mark.parametrize("kind,size", BLOCKS,
                              ids=[f"{k}-{n}" for k, n in BLOCKS])

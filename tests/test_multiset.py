@@ -3,7 +3,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbe.binomials import multinomial
@@ -135,6 +135,7 @@ class TestEntropy:
 
 
 class TestLog2Arrangements:
+    @settings(deadline=None)
     @given(count_lists())
     def test_matches_exact_count(self, counts):
         exact = math.log2(multinomial(counts))
