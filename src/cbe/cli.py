@@ -60,7 +60,8 @@ def build_parser() -> _Parser:
     def add_coding(p):
         p.add_argument("-b", "--block-size", type=int,
                        default=DEFAULT_BLOCK_SIZE, metavar="N",
-                       help="symbols per block (default %(default)s)")
+                       help="symbols per block, at most 2^20 "
+                            "(default %(default)s)")
         p.add_argument("--mode", choices=("byte", "bit"), default="byte",
                        help="symbol granularity (default %(default)s)")
 

@@ -119,7 +119,10 @@ _LONG_RUN = 32
 # two-position step is jumped to its end. A two-position step multiplies
 # and divides by single-digit ints below 32768 positions; a jump costs
 # about as much as 25 such steps, so ones bunched among long gaps are
-# not jumped to one at a time.
+# not jumped to one at a time. On random 4096-bit blocks two-position
+# steps take 1.12x the time of single steps at 2 positions per one,
+# 1.01x at 3 and 0.78x at 4, and jumps 0.95x that of two-position steps
+# at 16 to 24 positions per one, 0.80x at 32 and 0.57x at 48.
 _PAIR = 4
 _JUMP = 32
 

@@ -5,7 +5,7 @@ little-endian base-128 varints, and fixed-width fields are big-endian:
 
     magic   4 bytes   b"CBE2"
     mode    1 byte    0x01 byte symbols, 0x02 bit symbols
-    cap     varint    the writer's block size, >= 1
+    cap     varint    the writer's block size, 1 <= cap <= 2^20
     block*  varint    n, symbols in the block, 1 <= n <= cap
             varint    d, distinct symbols present, 1 <= d <= min(S, n)
             bytes     the table: support * C(n-1, d-1) + composition,
@@ -32,7 +32,9 @@ payload length and the rank, with no CRC; the same varint 0 ends it. It
 refuses any block longer than its `block_cap`, or than a `CBE2` stream's
 own cap, before any arithmetic, so that the output is bounded by the
 archive's size times the cap. A block that does not fit in memory fails
-as `ArchiveError` too.
+as `ArchiveError` too. The default cap, `DEFAULT_BLOCK_CAP`, is also the
+longest block `compress` writes, whatever block size it is given, so
+every archive it writes decodes with the default cap.
 
 Each block is independently decodable: its table is complete side
 information for its rank. Bit mode unpacks every input byte least
@@ -65,10 +67,10 @@ MODE_BYTE = 0x01
 MODE_BIT = 0x02
 DEFAULT_BLOCK_SIZE = 4096
 # The longest block `decompress` accepts unless told otherwise: 256
-# default blocks, 1 MiB of bytes or 128 KiB of bits.
+# default blocks, 1 MiB of bytes or 128 KiB of bits. `compress` writes
+# no longer block, so the default reader takes every archive it writes.
 DEFAULT_BLOCK_CAP = 1 << 20
 _CRC_BYTES = 4
-_FEW_SYMBOLS = 16  # `summarize` counts tables of at most this many exactly
 _RUN_PIECE = 1 << 16  # largest single read, and largest write of a run
 
 
@@ -289,12 +291,14 @@ _MODES = {
 
 
 def _coding(block_size, mode):
-    """The `_MODES` entry for `mode`, once the arguments are checked."""
+    """(the `_MODES` entry for `mode`, the block size written), once
+    the arguments are checked: blocks are independent, so a size above
+    `DEFAULT_BLOCK_CAP` is written as that cap."""
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    return _MODES[mode]
+    return _MODES[mode], min(block_size, DEFAULT_BLOCK_CAP)
 
 
 def _read_errors_tagged(blocks):
@@ -312,9 +316,11 @@ def compress(src, dst, *, block_size: int = DEFAULT_BLOCK_SIZE, mode: int = MODE
     """Encode `src` into `dst` as independent blocks; returns ArchiveSummary.
 
     Every block is a single adaptive pass: the counts tallied while
-    ranking the block become its table.
+    ranking the block become its table. Blocks hold at most
+    `DEFAULT_BLOCK_CAP` symbols, whatever `block_size` asks.
     """
-    blocks = _coding(block_size, mode).ranked(src, block_size)
+    coding, block_size = _coding(block_size, mode)
+    blocks = coding.ranked(src, block_size)
     dst.write(MAGIC + bytes((mode,)) + write_varint(block_size))
 
     def frames():
@@ -344,17 +350,14 @@ def summarize(data: bytes, *, block_size: int = DEFAULT_BLOCK_SIZE,
     A block's framing and payload width follow from its symbol counts,
     so each block is only tallied, and the sums cost no second pass.
     """
-    coding = _coding(block_size, mode)
+    coding, block_size = _coding(block_size, mode)
     totals = [0] * coding.symbols
 
     def frames():
         for n, counts in coding.tallied(data, block_size):
             totals[:] = map(int.__add__, totals, counts)
             d = len(counts) - counts.count(0)
-            tables = (d, coding.symbols - d), (d - 1, n - d)
-            # a few distinct symbols make the exact count cheaper than lgamma
-            table_width = (rank_width_bits(math.prod(map(multinomial, tables)))
-                           if d <= _FEW_SYMBOLS else _width(*tables))
+            table_width = _width((d, coding.symbols - d), (d - 1, n - d))
             yield n, _framing_bytes(n, d, table_width), _width(counts)
 
     return _summary(frames(), block_size), tuple(totals)

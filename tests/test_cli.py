@@ -90,6 +90,20 @@ class TestCompressDecompress:
         assert run("decompress", str(arc), str(back), capsys=capsys)[0] == 0
         assert back.read_bytes() == src.read_bytes()
 
+    @pytest.mark.parametrize("mode", ["byte", "bit"])
+    def test_block_size_above_the_cap(self, tmp_path, capsys, mode):
+        # the writer stays within the default reader's cap of 2^20 symbols
+        src = tmp_path / "data"
+        src.write_bytes(bytes(3 << 20) + random.Random(8).randbytes(200))
+        arc = tmp_path / "data.cbe"
+        back = tmp_path / "data.out"
+        code, _, err = run("compress", "-b", "2000000", "--mode", mode,
+                           str(src), str(arc), capsys=capsys)
+        assert (code, err) == (0, "")
+        code, _, err = run("decompress", str(arc), str(back), capsys=capsys)
+        assert (code, err) == (0, "")
+        assert back.read_bytes() == src.read_bytes()
+
     @pytest.mark.parametrize("mode,block_size", [("byte", 4096), ("bit", 32768)])
     def test_read_error_is_io_error(self, capsys, monkeypatch, mode, block_size):
         source = FailingSource(bytes(range(256)) * 80, fail_at=2)

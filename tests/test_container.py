@@ -672,6 +672,21 @@ class TestStreamHandling:
         assert max(src.requests) <= _RUN_PIECE
         assert decompress_bytes(archive.getvalue()) == data
 
+    @pytest.mark.parametrize("mode", [MODE_BYTE, MODE_BIT])
+    def test_block_size_above_the_cap(self, mode):
+        # blocks stop at the reader's default cap, so the default reader
+        # takes the archive. A run of zeros fills the first blocks and
+        # leaves no long run for the rankers to roll across
+        cap = container.DEFAULT_BLOCK_CAP
+        data = bytes(cap // 8 if mode == MODE_BIT else cap) + random.Random(5).randbytes(300)
+        archive = io.BytesIO()
+        summary = compress(io.BytesIO(data), archive, block_size=cap + 1, mode=mode)
+        archive = archive.getvalue()
+        assert archive[5:8] == write_varint(cap)
+        assert summary.blocks == 2
+        assert summarize(data, block_size=cap + 1, mode=mode)[0] == summary
+        assert decompress_bytes(archive) == data
+
     @pytest.mark.parametrize("fail_at", [0, 3, 5])
     @pytest.mark.parametrize("mode,block_size",
                              [(MODE_BYTE, 4096), (MODE_BIT, 8 * 4096)])
