@@ -90,6 +90,14 @@ def corpora(size, seed, block_bytes):
         for pos in rng.sample(range(page), min(123, page)):
             sparse[start + pos] = rng.randrange(1, 256)
     yield "sparse", bytes(sparse)
+    # alternating runs of 0x00 and 0xFF bytes, 1 to 512 long: in bit mode
+    # the ones come in long runs as well as the zeros
+    runs = bytearray()
+    byte = 0
+    while len(runs) < size:
+        runs += bytes((byte,)) * rng.randint(1, 512)
+        byte ^= 0xFF
+    yield "runs", bytes(runs[:size])
 
 
 def roundtrip(name, data, block_size, mode):

@@ -52,12 +52,14 @@ exactly (Cover's enumerative code, taken a run at a time).
 `encode`/`decode` handle any alphabet. Bit mode has its own ranker and
 unranker for the two-symbol case of the same ranking (Cover's
 enumerative code), with the same ranks. `_rank_bit_string` finds the
-block's runs with one regular expression and rolls a single binomial
-coefficient across each run in one exact step: the ones of a run
-telescope to the coefficient after it minus the coefficient before it,
-and the final coefficient is the block's arrangement count. A long
-run takes the coefficient whole from `math.comb` instead (see
-`_LONG_RUN`), so it costs about the width of its result.
+ones with `str.split` and `str.find`, with no regular expression, and
+carries one binomial coefficient from each one to the next: a lone one
+adds a term that is the last one's rolled across the gap, at one exact
+division, and the ones of a run telescope to the coefficient after it
+minus the coefficient before it, at two. A long gap or run takes the
+coefficient whole from `math.comb` instead (see `_LONG_RUN`), so it
+costs about the width of its result, and a block whose ones are the
+majority is ranked as its complement.
 `_unrank_bits` walks the positions down, one exact step per bit, two
 per step through sparser zeros, and returns the block as one int.
 Where zeros leave long gaps it jumps to the next one in one step,
@@ -99,18 +101,17 @@ _GUARD = 32
 _TAIL = 2 * _WINDOW
 _LN2 = math.log(2)  # `_ln` scales wide values by powers of two
 
-# `_rank_bit_string` matches a zero run, maybe empty, and the one run
-# after it at a time with `_runs`, compiled on first use so that
-# importing the codec does not load `re`; `encode_binary` spells bits
-# out with `_BIT_CHARS`.
-_runs = None
+# `encode_binary` spells bits out with `_BIT_CHARS`.
 _BIT_CHARS = {0: "0", 1: "1"}
 
-# A run longer than this, and than half the count on the other side of
-# the binomial coefficient it moves (the ones before a zero run, the
-# zeros before a one run), is not rolled: rolling multiplies by operands
-# about run * log2(position) bits wide, while `math.comb` costs about the
-# width of its result. Random 4096-bit blocks have no run this long.
+# A gap of zeros longer than this, and than half the ones before it, or
+# a run of ones longer than this, and than half the zeros before it,
+# takes its binomial coefficient from `math.comb` rather than rolling
+# the last one across it: rolling multiplies and divides by operands
+# about g * log2(position) bits wide, while `math.comb` costs about the
+# width of its result. `_rank_bit_string` reads a block with such a run
+# of ones with `str.find`, a step per run rather than per one. Random
+# 4096-bit blocks at 10% ones have no run this long.
 _LONG_RUN = 32
 
 # `_unrank_bits` steps over zeros one position at a time while at most
@@ -159,8 +160,7 @@ def encode_binary(bits):
     C(p, j) over the positions p of the ones, j counting ones through p
     inclusive. Any iterable of 0/1 values is accepted; anything else
     raises ValueError naming the first bad position. The bits are
-    spelled out as a '0'/'1' string and ranked a run at a time by
-    `_rank_bit_string`.
+    spelled out as a '0'/'1' string and ranked by `_rank_bit_string`.
     """
     bits = list(bits)
     try:
@@ -179,56 +179,101 @@ def encode_binary(bits):
 def _rank_bit_string(s):
     """Rank a '0'/'1' string of arrivals; returns (rank, ones, P).
 
-    P = C(n, ones) is the block's arrangement count. One coefficient,
-    coeff = C(i, ones) at arrival i, is rolled across a whole run
-    [i, e) of length r in one exact step: a zero run multiplies it by
-    perm(e, r) / perm(e - ones, r), a one run by
-    perm(e, r) / perm(ones + r, r). The r ones of a run add
-    C(i + b, ones + b + 1) for b < r, which telescopes to the new
-    coefficient minus the old, so a run costs one multiply and one
-    divide however long it is. A long run takes the new coefficient
-    from `math.comb` instead (see `_LONG_RUN`). Runs are matched a zero
-    run and the following one run at a time, which halves the loop's
-    trips; the trailing zeros are cut off first, since a match that
-    fails at the end would cost the pattern time quadratic in their
-    number.
+    The rank is Cover's sum of C(p, j) over the positions p of the ones,
+    j counting ones through p, and P = C(n, ones) is the block's
+    arrangement count. One coefficient, coeff = C(q, j) for the j ones
+    before some position q, is carried from one to the next:
+    - a lone one at p, g = p - q positions on, adds C(p, j + 1), which
+      is coeff * perm(p, g) / ((j + 1) * perm(p - j - 1, g - 1)): one
+      exact division, whose result is the next coeff, with q = p;
+    - a run of r ones at p adds C(p + b, j + 1 + b) for b < r, which
+      telescopes to C(p + r, j + r) - C(p, j): coeff is rolled across
+      the gap to C(p, j) by perm(p, g) / perm(p - j, g), and across the
+      run by perm(p + r, r) / perm(j + r, r), two exact divisions, with
+      q = p + r.
+    Any q up to the next one will do, so no step leaves a factor over
+    for the next. The last coeff, rolled to q = n, is P. A long gap or
+    run takes its coefficient from `math.comb` instead (see `_LONG_RUN`).
+
+    The ones are found by splitting the string at each one, so a piece
+    is the gap before the next one, and an empty piece puts that one in
+    a run. A block with a run longer than `_LONG_RUN` is read with
+    `str.find` instead (`_found_gaps`), a step per run, so a long run
+    costs no step per one. Ones before the first zero add C(p, p + 1) =
+    0 each. A block whose ones are the majority is ranked as its
+    complement, rank = P - 1 - rank(~s), with the two characters' roles
+    swapped, so that the loop takes one step per zero instead.
     """
-    global _runs
-    if _runs is None:
-        import re
-        _runs = re.compile("(0*)(1+)").findall
+    n = len(s)
+    first = s.find("1")
+    if first < 0:
+        return 0, 0, 1
+    ones = s.count("1", first)
+    one, zero = ("1", "0") if 2 * ones <= n else ("0", "1")
+    t = s + zero  # so the last one has a gap after it, like every other
     rank = mpz(0)
     coeff = mpz(1)
-    ones = 0
-    i = 0
-    for zero_run, one_run in _runs(s[:s.rfind("1") + 1]):
-        r = len(zero_run)
-        i += r
-        if r and ones:  # C(i, 0) == 1 until the first one
-            if r == 1:
-                coeff = coeff * i // (i - ones)
-            elif r > _LONG_RUN and 2 * r > ones:
-                coeff = mpz(math.comb(i, ones))
-            else:
-                coeff = coeff * math.perm(i, r) // math.perm(i - ones, r)
-        r = len(one_run)
-        i += r
+    q = j = t.find(zero)
+    if t.find(one * (_LONG_RUN + 1), q) < 0:
+        gaps = map(len, t[q:].split(one))
+    else:  # a run of ones too long to take a piece per one
+        gaps = _found_gaps(t, one, zero, q)
+    p = q + next(gaps)  # where the first run starts
+    r = 1  # ones in the run from p, so far
+    for z in gaps:
+        if z <= 0:  # the next one is adjacent, or 1 - z more are
+            r += 1 - z
+            continue
+        g = p - q
         if r == 1:
-            new = coeff * i // (ones + 1)
-        elif r > _LONG_RUN and 2 * r > i - ones - r:
-            new = mpz(math.comb(i, i - ones - r))
+            j += 1
+            if g > _LONG_RUN and 2 * g > j:
+                coeff = mpz(math.comb(p, j))
+            else:
+                coeff = coeff * math.perm(p, g) // (j * math.perm(p - j, g - 1))
+            rank += coeff
+            q = p
+            p += 1 + z
         else:
-            new = coeff * math.perm(i, r) // math.perm(ones + r, r)
-        rank += new - coeff
-        coeff = new
-        ones += r
-    r = len(s) - i
-    if ones and r:  # trailing zeros
-        if r > _LONG_RUN and 2 * r > ones:
-            coeff = mpz(math.comb(len(s), ones))
-        else:
-            coeff = coeff * math.perm(len(s), r) // math.perm(len(s) - ones, r)
+            if g == 1:  # as in a table's composition, between its runs
+                coeff = coeff * p // (p - j)
+            elif g > _LONG_RUN and 2 * g > j:
+                coeff = mpz(math.comb(p, j))
+            else:
+                coeff = coeff * math.perm(p, g) // math.perm(p - j, g)
+            q = p + r
+            if r > _LONG_RUN and 2 * r > p - j:
+                new = mpz(math.comb(q, p - j))
+            else:
+                new = coeff * math.perm(q, r) // math.perm(j + r, r)
+            rank += new - coeff
+            coeff = new
+            j += r
+            p = q + z
+            r = 1
+    g = n - q
+    if g > _LONG_RUN and 2 * g > j:
+        coeff = mpz(math.comb(n, j))
+    elif g:
+        coeff = coeff * math.perm(n, g) // math.perm(n - j, g)
+    if one == "0":
+        rank = coeff - 1 - rank
     return int(rank), ones, int(coeff)
+
+
+def _found_gaps(t, one, zero, start):
+    """`_rank_bit_string`'s gaps from t[start], a zero, found with `str.find`.
+
+    The same numbers as the lengths of the pieces between ones, but a run
+    of r >= 2 ones stands in as one number, 2 - r, in place of the r - 1
+    empty pieces between its ones, so it costs one step however long.
+    """
+    while (p := t.find(one, start)) >= 0:
+        yield p - start
+        start = t.find(zero, p)
+        if start - p > 1:
+            yield p + 2 - start
+    yield len(t) - start
 
 
 def decode_binary(rank, zeros: int, ones: int):
@@ -365,12 +410,15 @@ def _rank_message(message, alphabet):
     M_{i+1} = M_i * (i+1) / s_i. A run of r equal symbols, arriving at
     i with s of them seen before and b arrivals below them, is tallied
     once and becomes one leaf (P, Q, T) = (perm(i+r, r), perm(s+r, r),
-    b*(P - Q)/(i - s)): its r terms telescope, and i - s divides P - Q.
-    The first run adds nothing; runs are maximal, so every later one
-    has s < i. `seen` holds the rank of every arrival so far in
+    b*(P - Q)/(i - s)), or the same ratio in fewer factors where i - s
+    < r (see `_run_ratio`): its r terms telescope, and i - s divides
+    P - Q. The first run adds nothing; runs are maximal, so every later
+    one has s < i. `seen` holds the rank of every arrival so far in
     ascending order, as decode's pool does, so b is where the symbol's
     rank would go in it; each run is spliced in whole. It is a bytearray
-    for alphabets of at most 256 symbols, and a list for wider ones.
+    for alphabets of at most 256 symbols, and a list for wider ones. b
+    comes from `bisect_left`, or, in the wide loop for a symbol seen
+    before, from the bytearray's `find`, whose memchr is cheaper.
 
     The kernel follows `_unrank_counts`' width rule. While M is at most
     `_TAIL` bits, each run is one exact step, rank += M*T/Q and
@@ -393,8 +441,12 @@ def _rank_message(message, alphabet):
     counts = [0] * len(alphabet)
     if len(counts) <= 256:
         seen, pieces = bytearray(), _BYTE_PIECES
+        find = seen.find  # memchr, for a symbol seen before
     else:
         seen, pieces = [], _Singletons()
+
+        def find(k):  # list.index is linear
+            return bisect_left(seen, k)
     prefix = mpz(1)  # M, or M at the start of the pending chunk once wide
     rank = mpz(0)
     i = 0
@@ -418,8 +470,7 @@ def _rank_message(message, alphabet):
             seen.insert(b, k)
         else:
             if i:  # the first run is the identity
-                p = math.perm(i + r, r)
-                q = math.perm(s + r, r)
+                p, q = _run_ratio(i, s, r)
                 if b:
                     rank += prefix * (b * (p - q) // (i - s)) // q
                 prefix = prefix * p // q
@@ -449,7 +500,7 @@ def _rank_message(message, alphabet):
             raise UnknownSymbolError(symbol, i + r)
         # the pending run has ended: combine its leaf into the open group
         s = counts[prev]
-        b = bisect_left(seen, prev)
+        b = find(prev) if s else bisect_left(seen, prev)
         if r == 1:
             q = s + 1
             gt = gt * q + gp * b
@@ -457,8 +508,7 @@ def _rank_message(message, alphabet):
             gq *= q
             seen.insert(b, prev)
         else:
-            p = math.perm(i + r, r)
-            q = math.perm(s + r, r)
+            p, q = _run_ratio(i, s, r)
             gt = gt * q + gp * (b * (p - q) // (i - s))
             gp *= p
             gq *= q
@@ -479,6 +529,21 @@ def _rank_message(message, alphabet):
         prev = k
         r = 1
     return int(rank), counts, int(prefix)
+
+
+def _run_ratio(i, s, r):
+    """(P, Q) of a run of r symbols at arrival i, s of them seen before.
+
+    P/Q = perm(i + r, r) / perm(s + r, r), which is also
+    perm(i + r, i - s) / perm(i, i - s): the kernel takes whichever pair
+    has fewer factors, so a long run after few other symbols costs about
+    as much as a short one. perm(x, d) is d! times a binomial, so i - s
+    divides P - Q either way.
+    """
+    d = i - s
+    if d < r:
+        return math.perm(i + r, d), math.perm(i, d)
+    return math.perm(i + r, r), math.perm(s + r, r)
 
 
 class _Singletons:

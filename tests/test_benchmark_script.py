@@ -7,7 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPORA = ["constant", "text", "skewed-8", "random", "sorted", "bits-0.1",
-           "bits-0.9", "sparse"]
+           "bits-0.9", "sparse", "runs"]
 
 
 def _benchmark(*args):

@@ -298,6 +298,56 @@ class TestBitRunKernel:
         assert _rank_bit_string("") == (0, 0, 1)
         assert _unrank_bits(0, 0, 0) == 0
 
+    @pytest.mark.parametrize("lead", [1, 2, 40])
+    def test_leading_ones_then_lone_ones(self, lead):
+        # the leading ones add nothing, and the first lone one after them
+        # rolls C(lead, lead) = 1 across its gap
+        self.check([1] * lead + [0, 0, 1, 0, 0, 0, 1, 0, 1] + [0] * 5)
+        self.check([1] * lead + [0, 1] * 30)
+
+    LONG = codec._LONG_RUN
+
+    @pytest.mark.parametrize("run", [2, LONG, LONG + 1])
+    @pytest.mark.parametrize("gap", [1, LONG - 1, LONG, LONG + 1])
+    @pytest.mark.parametrize("before", [0, 100])
+    def test_runs_and_gaps_at_the_long_run_bound(self, run, gap, before):
+        # a run or gap past the bound takes math.comb when it is longer
+        # than half the zeros or ones before it, and rolls otherwise
+        body = ([0] * gap + [1] * run) * 3 + [0] * gap + [1] + [0] * gap
+        self.check([1, 0] * before + body + [1, 1, 0, 1] + [0] * before + body)
+
+    @pytest.mark.parametrize("shape", ["p=0.99", "p=0.5 in long runs"])
+    def test_wide_blocks(self, shape):
+        rng = random.Random(32768)
+        if shape == "p=0.99":  # ranked as its complement
+            bits = [int(rng.random() < 0.99) for _ in range(32768)]
+        else:
+            bits, bit = [], 0
+            while len(bits) < 32768:
+                bits += [bit] * rng.randint(1, 512)
+                bit ^= 1
+            bits = bits[:32768]
+        self.check(bits)
+
+    @pytest.mark.parametrize("bound", [1, 2, 5])
+    def test_any_long_run_bound(self, monkeypatch, bound):
+        # with a low bound, most runs are cut out with str.find and most
+        # gaps and runs take math.comb; the ranks do not change
+        monkeypatch.setattr(codec, "_LONG_RUN", bound)
+        rng = random.Random(bound)
+        for p in (0.1, 0.5, 0.9):
+            self.check([int(rng.random() < p) for _ in range(700)])
+        self.check([1] * 9 + [0] * 3 + [1] * 6 + [0, 1, 1, 0, 1] + [1] * 7)
+
+    @settings(max_examples=300)
+    @given(st.text("01", max_size=300))
+    def test_complement_rank(self, s):
+        # a block whose ones are the majority is ranked as its complement
+        rank, ones, permutations = _rank_bit_string(s)
+        flipped = s.translate(str.maketrans("01", "10"))
+        assert _rank_bit_string(flipped) == (permutations - 1 - rank,
+                                             len(s) - ones, permutations)
+
     @pytest.mark.parametrize("pair,jump", [(10**9, 10**9), (0, 10**9), (0, 0)],
                              ids=["single-steps", "pairs", "jumps"])
     @pytest.mark.parametrize("p", [0.02, 0.1, 0.5, 0.9])

@@ -34,7 +34,7 @@ from cbe.container import (
     _width,
 )
 from cbe.binomials import multinomial
-from cbe.multiset import BIT_ALPHABET, rank_width_bits
+from cbe.multiset import BIT_ALPHABET, Alphabet, rank_width_bits
 from helpers import FailingSource, check_frozen_record, probe_archive
 
 # magic, mode, cap 4096, n = 6, d = 3, a 4-byte table, rank 22, CRC, end
@@ -629,6 +629,47 @@ class TestPayloadWidth:
             assert _width((d, symbols - d), (d - 1, n - d)) == want
 
 
+def _table_shapes():
+    rng = random.Random(4246)
+    sparse = bytearray(4096)
+    for pos in rng.sample(range(4096), 123):
+        sparse[pos] = rng.randrange(1, 256)
+    pages = {"byte-random": rng.randbytes(4096), "byte-sparse": bytes(sparse),
+             "zero-page": bytes(4096), "every-byte-once": bytes(range(256)),
+             "two-bytes": b"\x00" * 3000 + b"\xff" * 1096}
+    shapes = {}
+    for name, page in pages.items():
+        counts = [0] * 256
+        for byte, count in collections.Counter(page).items():
+            counts[byte] = count
+        shapes[name] = counts
+    shapes["bit-block"] = [3700, 396]
+    shapes["all-ones"] = [0, 4096]
+    return shapes
+
+
+class TestTableRank:
+    """A table's rank unranks to the same counts, and is its support's
+    rank times the compositions plus its composition's rank, both ranked
+    as the general encoder ranks the same bits."""
+
+    SHAPES = _table_shapes()
+
+    @pytest.mark.parametrize("name", SHAPES)
+    def test_roundtrip(self, name):
+        counts = self.SHAPES[name]
+        symbols, n = len(counts), sum(counts)
+        d = sum(1 for c in counts if c)
+        compositions = math.comb(n - 1, d - 1)
+        table, tables = _table_rank(counts)
+        assert tables == math.comb(symbols, d) * compositions
+        assert container._table_counts(table, symbols, n, d, compositions) == counts
+        support = [int(c > 0) for c in counts]
+        bars = [bit for c in counts if c for bit in [0] * (c - 1) + [1]][:-1]
+        two = Alphabet((0, 1))
+        assert table == encode(support, two)[0] * compositions + encode(bars, two)[0]
+
+
 class _DribbleReader:
     """File-like source that returns at most two bytes per read."""
 
@@ -809,6 +850,11 @@ class TestHostileArchives:
         assert len(archive) < 40
         start = time.perf_counter()
         assert decompress_bytes(archive) == data
+        assert time.perf_counter() - start < 1.0
+        # and encoding rolls the long zero runs by perms of the few other
+        # arrivals (byte mode) or takes them from math.comb (bit mode)
+        start = time.perf_counter()
+        assert compress_bytes(data, block_size=n, mode=mode) == archive
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("magic", [b"CBE1", b"CBE2"])
