@@ -22,12 +22,13 @@ one sorted array, as decode keeps its pool, so the arrivals below a
 symbol are where it would go in that array. While the arrangement count
 is short it adds each term to the rank in one exact step, taking the
 runs from `groupby`. Once the count is wider, it reads the raw symbols
-and counts each run as it goes, combines every few runs' terms into one
-with the product tree's own rule, and sums every few hundred arrivals'
-terms at once with a product tree over those groups (binary splitting,
-after Haible and Papanikolaou), folding each partial sum into the rank
-with one exact division. The last step or fold also yields the block's
-arrangement count.
+and counts each run as it goes, and sums every few hundred arrivals'
+terms as one fraction T/Q with running products: every few runs' terms
+make one group, and each group joins the chunk's products, both by the
+rule that binary splitting combines a pair of terms with (after Haible
+and Papanikolaou), (P1*P2, Q1*Q2, T1*Q2 + P1*T2). Each chunk is folded
+into the rank with one exact division. The last step or fold also
+yields the block's arrangement count.
 
 Both directions follow one width rule: exact steps while the
 arrangement count is at most `_TAIL` bits, chunked folds above it.
@@ -40,9 +41,9 @@ off a sorted pool of the symbols left. A step needs only the leading
 bits of x, so decode carries x as a fixed-point fraction with a proven
 error bound, takes a symbol only when no value within the bound would
 give another, and folds every chunk of decisions back into the exact
-rank and arrangement count. It combines the chunk's terms as it takes
-them, with the product tree's own rule applied one term at a time, so
-the fold is the encoder's single exact division.
+rank and arrangement count. It combines the chunk's terms into running
+products as it takes them, by the same rule, so its fold is the
+encoder's single exact division.
 Where the numbers are short enough to step exactly, a run of one
 symbol is decoded in one step: the arrangements that put that symbol
 on the top j positions form nested intervals, and the run's length is
@@ -76,15 +77,18 @@ from .multiset import Alphabet, FrequencyTable, UnknownSymbolError
 
 
 # Arrivals per fold once the arrangement count is wider than `_TAIL`:
-# encode's product trees and, at most, decode's windowed chunks. Larger
-# chunks multiply ever wider products, of which only the ratio P/Q
-# reaches the rank; smaller ones pay more full-width divisions.
+# encode's chunks and, at most, decode's windowed chunks, each summed
+# with running products. Larger chunks multiply ever wider products, of
+# which only the ratio P/Q reaches the rank; smaller ones pay more
+# full-width divisions.
 _CHUNK = 512
 
-# Runs' leaves `_rank_message` combines one at a time into each leaf of
-# its product trees. On a random 4 KiB block 16 leaves make numbers of
-# about 200 bits, too short for a tree's balanced products to pay, and a
-# tree of 32 groups costs less than one of 512 leaves.
+# Runs' leaves `_rank_message` combines into one group before the group
+# joins its chunk's running products, so the wide products grow by a
+# ~200-bit factor per group rather than by a small one per run. On
+# random, text and skewed 4 KiB blocks, groups of 4 to 64 encode within
+# 10% of 16's time, and groups of 1 (each leaf straight into the chunk)
+# take 1.2-1.4x as long.
 _GROUP = 16
 
 # `_unrank_counts` decodes from a `_WINDOW`-bit fixed-point fraction of
@@ -290,14 +294,15 @@ def decode_binary(rank, zeros: int, ones: int):
             f"rank {rank} out of range for {zeros} zeros and {ones} ones "
             f"({total} arrangements)"
         )
-    word = _unrank_bits(rank, zeros, ones)
+    word = _unrank_bits(rank, zeros, ones, total)
     return list(map(int, bin(word | 1 << n)[:2:-1]))  # n digits, LSB first
 
 
-def _unrank_bits(rank, zeros, ones):
+def _unrank_bits(rank, zeros, ones, total):
     """The block for (rank, zeros, ones) as an int, bit i = arrival i.
 
-    Caller guarantees 0 <= rank < C(zeros+ones, ones). Walks positions
+    Caller guarantees 0 <= rank < total == C(zeros+ones, ones), the
+    count it has just computed to check the rank. Walks positions
     from most significant down: with the position index equal to the
     number of remaining lower positions, a ONE is placed whenever the
     rank covers every arrangement that would put a ZERO there. Zeros
@@ -317,7 +322,8 @@ def _unrank_bits(rank, zeros, ones):
     # memory
     digits = bytearray(b"0" * n)
     pos = n - 1
-    threshold = mpz(math.comb(pos, ones))  # tracks C(pos, ones)
+    # tracks C(pos, ones); C(n - 1, ones) is C(n, ones) * zeros / n
+    threshold = mpz(total) * zeros // n
     while rank:
         if rank < threshold:  # zeros from pos down to the next one
             if pos <= _PAIR * ones:
@@ -428,14 +434,15 @@ def _rank_message(message, alphabet):
     same iterator of raw symbols, starting from the run whose first
     symbol `groupby` has already read, and counts each run as it goes,
     so a one-pass iterator is still read once. It combines the leaves
-    of every `_GROUP` runs into one with the product tree's own rule,
-    T = T*q + P*t, P = P*p, Q = Q*q. At the end of the first group past
-    each `_CHUNK` arrivals, a product tree reduces the groups and
-    `_fold` folds them into the rank with one exact division by Q,
-    which keeps the numbers near the size of the rank itself. The last
-    step or fold carries M to M_n, the block's arrangement count P. A
-    block whose count stays within `_TAIL` bits, such as a 4 KiB page
-    with 3% nonzero bytes, builds no tree.
+    of every `_GROUP` runs into one group, T = T*q + P*t, P = P*p,
+    Q = Q*q, and each closed group into the chunk's running products by
+    the same rule, as `_unrank_counts` combines its chunk's terms. At
+    the end of the first group past each `_CHUNK` arrivals, `_fold`
+    folds the chunk into the rank with one exact division by Q, which
+    keeps the numbers near the size of the rank itself. The last step
+    or fold carries M to M_n, the block's arrangement count P. A block
+    whose count stays within `_TAIL` bits, such as a 4 KiB page with 3%
+    nonzero bytes, folds nothing.
     """
     ranks = alphabet.rank_map
     counts = [0] * len(alphabet)
@@ -488,7 +495,7 @@ def _rank_message(message, alphabet):
         raise UnknownSymbolError(symbol, i)
     r = 1
     group = _GROUP
-    ps, qs, ts = [], [], []  # the pending chunk's closed groups
+    cp, cq, ct = 1, 1, 0  # the pending chunk's closed groups, combined
     gp, gq, gt, g = 1, 1, 0, 0  # the open group and its leaf count
     fold_at = i + _CHUNK
     for symbol in chain(symbols, (_END,)):  # wide: runs counted inline
@@ -517,14 +524,14 @@ def _rank_message(message, alphabet):
         i += r
         g += 1
         if g == group or k is None:
-            ps.append(gp)
-            qs.append(gq)
-            ts.append(gt)
+            ct = ct * gq + cp * gt
+            cp *= gp
+            cq *= gq
             gp, gq, gt, g = 1, 1, 0, 0
             if i >= fold_at or k is None:
-                t, prefix = _fold(prefix, *_product_tree(ps, qs, ts))
+                t, prefix = _fold(prefix, cp, cq, ct)
                 rank += t
-                ps, qs, ts = [], [], []
+                cp, cq, ct = 1, 1, 0
                 fold_at = i + _CHUNK
         prev = k
         r = 1
@@ -554,28 +561,6 @@ class _Singletons:
 
     def __getitem__(self, k):
         return [k]
-
-
-def _product_tree(ps, qs, ts):
-    """Reduce leaves (P, Q, T) pairwise into one (P, Q, T).
-
-    A pair combines as (P1*P2, Q1*Q2, T1*Q2 + P1*T2), so the root's T/Q
-    is the sum of every leaf's T/Q scaled by the P/Q of the leaves
-    before it, and its P and Q are the products of all leaves.
-    """
-    while len(ps) > 1:
-        p_left = ps[0::2]
-        q_right = qs[1::2]
-        new_ts = [t1 * q2 + p1 * t2 for p1, t1, q2, t2
-                  in zip(p_left, ts[0::2], q_right, ts[1::2])]
-        new_ps = [p1 * p2 for p1, p2 in zip(p_left, ps[1::2])]
-        new_qs = [q1 * q2 for q1, q2 in zip(qs[0::2], q_right)]
-        if len(ps) & 1:
-            new_ps.append(ps[-1])
-            new_qs.append(qs[-1])
-            new_ts.append(ts[-1])
-        ps, qs, ts = new_ps, new_qs, new_ts
-    return ps[0], qs[0], ts[0]
 
 
 def _fold(x, p, q, t):
@@ -642,12 +627,12 @@ def _unrank_counts(rank, counts, permutations):
       step covers E's float rounding.
 
     Each accepted symbol is a term (p, m, below) of the chunk's
-    (P, Q, T), combined as it is taken with the product tree's rule:
-    T = T*m + P*below, then P = P*p. Q is the falling factorial of the
-    m's, so at the chunk's end `_fold` applies rank -= total*T/Q and
-    total = total*P/Q exactly, with one full-width division by Q. On a
-    4 KiB block of random bytes T and Q stay near 1.1 kbit. A chunk ends
-    after `_CHUNK` symbols, once E*m exceeds 2^(W - `_GUARD`), or at a
+    (P, Q, T), combined into running products as it is taken, by the
+    rule encode's chunks use: T = T*m + P*below, then P = P*p. Q is the
+    falling factorial of the m's, so at the chunk's end `_fold` applies
+    rank -= total*T/Q and total = total*P/Q exactly, with one full-width
+    division by Q. On a 4 KiB block of random bytes T and Q stay near
+    1.1 kbit. A chunk ends after `_CHUNK` symbols, once E*m exceeds 2^(W - `_GUARD`), or at a
     cut it cannot certify, which is then taken as one exact full-width
     step. Once total is at most `_TAIL` bits the block finishes with
     exact steps, and a rank of 0 is the lowest arrangement, written out

@@ -167,13 +167,14 @@ def _table_rank(counts):
     return support * compositions + parts, sets * compositions
 
 
-def _table_counts(rank, symbols, n, d, compositions):
-    """Counts per symbol id for a table rank, given C(n-1, d-1)."""
+def _table_counts(rank, symbols, n, d, sets, compositions):
+    """Counts per symbol id for a table rank, given C(S, d) and C(n-1, d-1)."""
     support, parts = divmod(rank, compositions)
-    present = bin(_unrank_bits(support, symbols - d, d) | 1 << symbols)[:2:-1]
+    present = bin(_unrank_bits(support, symbols - d, d, sets) | 1 << symbols)[:2:-1]
     sizes = [n]
     if d > 1:  # else n has one composition, and a run need not be spelled out
-        bars = bin(_unrank_bits(parts, n - d, d - 1) | 1 << (n - 1))[:2:-1]
+        bars = bin(_unrank_bits(parts, n - d, d - 1, compositions)
+                   | 1 << (n - 1))[:2:-1]
         sizes = [len(zeros) + 1 for zeros in bars.split("1")]
     sizes = iter(sizes)
     return [next(sizes) if bit == "1" else 0 for bit in present]
@@ -231,24 +232,33 @@ def _unrank_byte_block(rank, counts, permutations):
 def _bit_blocks(src, block_size):
     """(n, rank, counts, P, CRC) for each block of bits, in arrival order.
 
-    Each read chunk is spelled out LSB first by one `bin` of its
-    little-endian int with a marker bit above it; the bits past the
-    last whole block carry over, and the stream's end flushes them.
+    The bits read are carried as one int, bit i = arrival i: each read
+    chunk's little-endian int goes above the bits left over from the
+    last one, and the stream's end flushes them. A block is a shift and
+    a mask of the bytes that hold it, as in `_bit_tallies`, so it costs
+    its own width rather than the chunk's; it is CRC'd as it stands and
+    ranked as one `bin` of it, spelled out LSB first with a marker bit
+    above it.
     """
-    bits = ""
+    word = fill = 0  # the bits not yet in a block, and how many
+    mask = (1 << block_size) - 1
     while True:
         chunk = _read_full(src, max(4096, (block_size + 7) // 8))
-        bits += bin(int.from_bytes(chunk, "little") | 1 << 8 * len(chunk))[:2:-1]
-        end = len(bits) - len(bits) % block_size if chunk else len(bits)
+        word |= int.from_bytes(chunk, "little") << fill
+        fill += 8 * len(chunk)
+        end = fill - fill % block_size if chunk else fill
+        data = word.to_bytes((fill + 7) // 8, "little")
         for start in range(0, end, block_size):
             n = min(block_size, end - start)
-            block = bits[start:start + n]
-            rank, ones, permutations = _rank_bit_string(block)
-            packed = int(block[::-1], 2).to_bytes((n + 7) // 8, "little")
+            block = (int.from_bytes(data[start >> 3:(start + n + 7) >> 3], "little")
+                     >> (start & 7) & mask)
+            rank, ones, permutations = _rank_bit_string(bin(block | 1 << n)[:2:-1])
+            packed = block.to_bytes((n + 7) // 8, "little")
             yield n, rank, [n - ones, ones], permutations, zlib.crc32(packed)
         if not chunk:
             return
-        bits = bits[end:]
+        word >>= end
+        fill -= end
 
 
 def _bit_tallies(data, block_size):
@@ -262,7 +272,7 @@ def _bit_tallies(data, block_size):
 
 
 def _unrank_bit_block(rank, counts, permutations):
-    return _unrank_bits(rank, counts[0], counts[1])
+    return _unrank_bits(rank, counts[0], counts[1], permutations)
 
 
 class _Mode:
@@ -466,13 +476,14 @@ def _read_block(reader, n, what, symbols):
     d = reader.varint(what)
     if not 1 <= d <= min(symbols, n):
         raise ArchiveError(f"{what}: invalid distinct-symbol count {d}")
+    sets = multinomial((d, symbols - d))
     compositions = multinomial((d - 1, n - d))
-    tables = multinomial((d, symbols - d)) * compositions
+    tables = sets * compositions
     table = int.from_bytes(
         reader.exact((rank_width_bits(tables) + 7) // 8, what), "big")
     if table >= tables:
         raise ArchiveError(f"{what}: table {table} out of range ({tables} tables)")
-    counts = _table_counts(table, symbols, n, d, compositions)
+    counts = _table_counts(table, symbols, n, d, sets, compositions)
     rank, permutations = _read_block_rank(reader, what, counts)
     crc = int.from_bytes(reader.exact(_CRC_BYTES, what), "big")
     return counts, rank, permutations, crc

@@ -274,7 +274,8 @@ class TestBitRunKernel:
         want, table = encode(bits, Alphabet((0, 1)))
         assert (rank, len(bits) - ones, ones) == (want, *table.counts)
         assert permutations == math.comb(len(bits), ones)
-        assert _unrank_bits(rank, len(bits) - ones, ones) == int("0" + s[::-1], 2)
+        assert (_unrank_bits(rank, len(bits) - ones, ones, permutations)
+                == int("0" + s[::-1], 2))
 
     @pytest.mark.parametrize("bits", [
         [0], [1], [0] * 4096, [1] * 4096,
@@ -296,7 +297,21 @@ class TestBitRunKernel:
 
     def test_empty(self):
         assert _rank_bit_string("") == (0, 0, 1)
-        assert _unrank_bits(0, 0, 0) == 0
+        assert _unrank_bits(0, 0, 0, 1) == 0
+
+    @pytest.mark.parametrize("zeros,ones", [
+        (0, 0), (1, 0), (0, 1), (5, 0), (0, 5), (1, 1), (2, 1), (1, 2), (3, 3),
+    ])
+    def test_every_rank_of_few_bits(self, zeros, ones):
+        # the walk starts from C(n - 1, ones), taken from the caller's
+        # C(n, ones): 1 with no ones, 0 with no zeros; n = 0 returns first
+        n = zeros + ones
+        total = math.comb(n, ones)
+        for rank in range(total):
+            word = _unrank_bits(rank, zeros, ones, total)
+            bits = [word >> i & 1 for i in range(n)]
+            assert word >> n == 0
+            assert encode_binary(bits) == (rank, zeros, ones)
 
     @pytest.mark.parametrize("lead", [1, 2, 40])
     def test_leading_ones_then_lone_ones(self, lead):
@@ -390,9 +405,9 @@ class TestBitRunKernel:
         n = 2 ** 20
         word = 1 << (n - 1) | 1 << (n - 2) | 1 << low
         s = bin(word | 1 << n)[:2:-1]
-        rank, ones, _ = _rank_bit_string(s)
+        rank, ones, permutations = _rank_bit_string(s)
         start = time.perf_counter()
-        assert _unrank_bits(rank, n - ones, ones) == word
+        assert _unrank_bits(rank, n - ones, ones, permutations) == word
         assert time.perf_counter() - start < 0.2
 
 
@@ -459,27 +474,25 @@ class TestRankMessageCount:
         assert _TAIL < permutations.bit_length() <= _TAIL + 64
 
     @pytest.mark.parametrize("kind", ["sparse", "random"])
-    def test_product_trees_built(self, kind, monkeypatch):
+    def test_chunk_folds(self, kind, monkeypatch):
         # a sparse page stays narrow enough to step exactly throughout;
-        # a random block folds at most one tree per chunk, and each tree
-        # reduces groups of `_GROUP` runs' leaves, not one leaf per run
+        # a random block folds its running chunk products into the rank
+        # at most once per `_CHUNK` arrivals
         rng = random.Random(17)
         block = (_sparse_page(rng, 4096) if kind == "sparse"
                  else rng.randbytes(4096))
         want = encode(block, BYTE_ALPHABET)[0]
-        trees = []
-        tree = codec._product_tree
-        monkeypatch.setattr(codec, "_product_tree",
-                            lambda *leaves: trees.append(len(leaves[0]))
-                            or tree(*leaves))
+        folds = []
+        fold = codec._fold
+        monkeypatch.setattr(codec, "_fold",
+                            lambda *args: folds.append(args) or fold(*args))
         rank, counts, permutations = _rank_message(block, BYTE_ALPHABET)
         assert rank == want
         assert permutations == factorial_multinomial(counts)
         if kind == "sparse":
-            assert trees == []
+            assert folds == []
         else:
-            assert 1 <= len(trees) <= -(-len(block) // codec._CHUNK)
-            assert max(trees) <= -(-codec._CHUNK // codec._GROUP)
+            assert 1 <= len(folds) <= -(-len(block) // codec._CHUNK)
 
 
 def literal_weight(counts, rank):
@@ -543,11 +556,12 @@ def _prefix_weights(seq, t, lengths):
 
 
 class TestChunkBoundaries:
-    """Once the arrangement count is wider than `_TAIL`, encode folds a
-    product tree every few hundred arrivals; ranks of prefixes ending on
-    either side of those folds match the factorial weights. With the
-    tail at 0 the folds start after the first run; at the default the
-    switch itself falls between 480 and 1080 arrivals in."""
+    """Once the arrangement count is wider than `_TAIL`, encode folds its
+    chunk's running products every few hundred arrivals; ranks of
+    prefixes ending on either side of those folds match the factorial
+    weights. With the tail at 0 the folds start after the first run; at
+    the default the switch itself falls between 480 and 1080 arrivals
+    in."""
 
     PREFIXES = (1, 511, 512, 513, 1023, 1024, 1025, 1100)
 
@@ -583,7 +597,7 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("group", [1, 2])
     def test_short_groups(self, group, monkeypatch):
-        # a tree leaf of one or two runs' leaves
+        # a group of one or two runs' leaves
         monkeypatch.setattr(codec, "_GROUP", group)
         self._check_prefixes(monkeypatch)
 
@@ -615,7 +629,7 @@ def _runs_message(rng, t, length):
 
 class TestRankWidthSwitch:
     """encode steps exactly while the arrangement count M is at most
-    `_TAIL` bits and gathers product-tree leaves above it. With the tail
+    `_TAIL` bits and gathers chunk products above it. With the tail
     patched low, M passes it after the first run, which adds nothing,
     after a later run of r > 1 or a single arrival, or never; each rank
     matches the factorial weights and, where affordable, the

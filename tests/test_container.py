@@ -385,7 +385,7 @@ class TestBitBlocksAcrossChunks:
             out += bytes((rng.choice((0x00, 0xFF)),)) * rng.randrange(300, 3000)
         return out[:size]
 
-    @pytest.mark.parametrize("block_size", [4095, 4097, 33000])
+    @pytest.mark.parametrize("block_size", [8, 4095, 4096, 4097, 33000])
     @pytest.mark.parametrize("kind", ["random", "biased", "runs"])
     def test_matches_reference_and_roundtrips(self, kind, block_size):
         data = self.make(kind, 10_000, block_size)
@@ -645,6 +645,9 @@ def _table_shapes():
         shapes[name] = counts
     shapes["bit-block"] = [3700, 396]
     shapes["all-ones"] = [0, 4096]
+    shapes["one-bit"] = [0, 1]
+    shapes["one-of-each"] = [1, 1]  # a composition of one position
+    shapes["one-id"] = [7]  # a support of one position
     return shapes
 
 
@@ -663,7 +666,8 @@ class TestTableRank:
         compositions = math.comb(n - 1, d - 1)
         table, tables = _table_rank(counts)
         assert tables == math.comb(symbols, d) * compositions
-        assert container._table_counts(table, symbols, n, d, compositions) == counts
+        sets = math.comb(symbols, d)
+        assert container._table_counts(table, symbols, n, d, sets, compositions) == counts
         support = [int(c > 0) for c in counts]
         bars = [bit for c in counts if c for bit in [0] * (c - 1) + [1]][:-1]
         two = Alphabet((0, 1))
