@@ -5,9 +5,14 @@ First times fresh `-E -s` interpreters: a bare one, one that imports
 cbe, and `python -m cbe compress` on empty stdin, each the median of
 11 runs. Then times compress/decompress over synthetic corpora, with
 decode time over encode time (above 1 where decode is the slower half),
-and shows how close the payload lands to the entropy total per corpus.
-With --repeat N each corpus makes N roundtrips, and enc and dec are the
-medians of their times, so a change can be told from drift in the host:
+and shows how close the payload lands to the entropy total per corpus,
+with the sizes zlib -9, bz2 -9 and lzma give the same corpus beside
+cbe's archive. The `stdlib-src` corpus is the first --size bytes of this
+interpreter's standard library sources (lib/python3.X/*.py, sorted by
+name), and its line ends with their sha256, so runs on other
+interpreters can be told apart. With --repeat N each corpus makes N
+roundtrips, and enc and dec are the medians of their times, so a change
+can be told from drift in the host:
 
     python scripts/benchmark.py
     python scripts/benchmark.py --size 4194304 --block-size 8192
@@ -15,12 +20,17 @@ medians of their times, so a change can be told from drift in the host:
 """
 
 import argparse
+import bz2
+import hashlib
 import io
+import lzma
 import random
 import statistics
 import subprocess
 import sys
+import sysconfig
 import time
+import zlib
 from pathlib import Path
 
 import cbe
@@ -98,6 +108,26 @@ def corpora(size, seed, block_bytes):
         runs += bytes((byte,)) * rng.randint(1, 512)
         byte ^= 0xFF
     yield "runs", bytes(runs[:size])
+    yield "stdlib-src", stdlib_source(size)
+
+
+def stdlib_source(size):
+    """The first `size` bytes of this interpreter's lib/python3.X/*.py,
+    concatenated in name order: real text that is the same on every host
+    with the same Python build."""
+    out = bytearray()
+    for path in sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py")):
+        if len(out) >= size:
+            break
+        out += path.read_bytes()
+    return bytes(out[:size])
+
+
+def reference_sizes(data):
+    """Archive bytes of the stdlib compressors, as (label, size) pairs."""
+    return (("zlib-9", len(zlib.compress(data, 9))),
+            ("bz2-9", len(bz2.compress(data, 9))),
+            ("lzma", len(lzma.compress(data))))
 
 
 def roundtrip(name, data, block_size, mode):
@@ -137,6 +167,9 @@ def run(name, data, block_size, mode, repeat):
         f"  nH {stats.shannon_total_bits:12.1f}"
         f"  archive {summary.total_bytes:>9} B"
         f"  blocks {summary.blocks:>4}"
+        + "".join(f"  {label} {n:>9} B" for label, n in reference_sizes(data))
+        + (f"  sha256 {hashlib.sha256(data).hexdigest()}"
+           if name == "stdlib-src" else "")
     )
 
 

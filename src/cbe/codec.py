@@ -47,8 +47,12 @@ encoder's single exact division.
 Where the numbers are short enough to step exactly, a run of one
 symbol is decoded in one step: the arrangements that put that symbol
 on the top j positions form nested intervals, and the run's length is
-the deepest one that holds the rank, guessed in floats and checked
-exactly (Cover's enumerative code, taken a run at a time).
+the deepest one that holds the rank, guessed in floats from one true
+quotient and checked exactly, with the check one past the guess
+cross-multiplied so that it divides nothing (Cover's enumerative code,
+taken a run at a time). For byte tables the pool of symbols left is a
+bytearray, searched with memchr, so a run of the lowest symbol leaves
+it by advancing its start rather than by moving the rest.
 
 `encode`/`decode` handle any alphabet. Bit mode has its own ranker and
 unranker for the two-symbol case of the same ranking (Cover's
@@ -372,7 +376,7 @@ def _next_one(rank, threshold, pos, ones):
     exact step, or taken from `math.comb` past `_LONG_RUN` as
     `_rank_bit_string` does, and the guess is walked to q exactly.
     """
-    ratio = rank / threshold  # in (0, 1), unless it underflows
+    ratio = float(rank / threshold)  # in (0, 1), unless it underflows
     target = math.log(ratio) if ratio else _ln(rank) - _ln(threshold)
     g = min(target / math.log1p(-ones / pos), pos - ones)
     g = max(1, min(math.ceil(target / math.log1p(-ones / (pos - g / 2))), pos - ones))
@@ -555,7 +559,8 @@ def _run_ratio(i, s, r):
 
 class _Singletons:
     """`_Singletons()[k] == [k]`, as `_BYTE_PIECES[k] == bytes((k,))`:
-    a run of r copies of k is `pieces[k] * r`, spliced into `seen`."""
+    a run of r copies of k is `pieces[k] * r`, spliced into `seen`
+    or `out`."""
 
     __slots__ = ()
 
@@ -605,6 +610,12 @@ def _unrank_counts(rank, counts, permutations):
     pool[cut], `below` is where its copies start, and deleting one copy
     keeps the pool current. A cut that repeats the previous symbol
     reuses its `below`: only copies of that symbol have left since.
+    For tables of at most 256 ids, as for `_rank_message`'s `seen`,
+    the pool and the output are bytearrays: `below` comes from `find`,
+    a memchr, deleting a run of the lowest symbol from the pool's front
+    only advances its start, and the output starts as zeros, so a run
+    of symbol 0 is never written. Wider tables keep lists and
+    `bisect_left`.
 
     Deciding a symbol needs only the leading bits of x, so a chunk
     carries X, a W-bit fixed-point fraction (W = `_WINDOW`), and a
@@ -644,14 +655,26 @@ def _unrank_counts(rank, counts, permutations):
     the top J positions are all k, and rank -= L_J, total = tot_J (see
     there) apply it exactly. A sparse page, short enough to step
     exactly throughout, then costs about one step per zero run instead
-    of one per zero.
+    of one per zero, and with the bytearray pool none of those steps
+    moves the pool.
     """
     remaining = list(counts)
     m = sum(remaining)
-    out = [0] * m
-    pool = []
-    for k, c in enumerate(remaining):
-        pool += [k] * c
+    if len(remaining) <= 256:
+        pieces = _BYTE_PIECES
+        pool = bytearray(b"".join([pieces[k] * c
+                                   for k, c in enumerate(remaining) if c]))
+        out = bytearray(m)
+        find = pool.find  # memchr
+    else:
+        pieces = _Singletons()
+        pool = []
+        for k, c in enumerate(remaining):
+            pool += [k] * c
+        out = [0] * m
+
+        def find(k, start=0):  # list.index is linear
+            return bisect_left(pool, k, start)
     rank = mpz(rank)
     total = mpz(permutations)
     w = _WINDOW
@@ -693,8 +716,7 @@ def _unrank_counts(rank, counts, permutations):
                 k = pool[cut]
                 p = remaining[k]
                 if k != prev:  # k's p copies hold cut, so start near it
-                    below = bisect_left(pool, k, cut - p + 1 if cut >= p
-                                        else 0, cut)
+                    below = find(k, cut - p + 1 if cut >= p else 0)
                     prev = k
                 del pool[below]
                 remaining[k] = p - 1
@@ -717,7 +739,7 @@ def _unrank_counts(rank, counts, permutations):
             k = pool[rank * m // total]
             repeat = k == prev
             if not repeat:
-                below = bisect_left(pool, k)
+                below = find(k)
                 prev = k
             p = remaining[k]
             if p > 1 and (repeat or 2 * p > m):
@@ -733,7 +755,8 @@ def _unrank_counts(rank, counts, permutations):
                 total = total * p // m
             remaining[k] = p - j
             del pool[below:below + j]
-            out[m - j:m] = [k] * j
+            if k:  # `out` starts as zeros
+                out[m - j:m] = pieces[k] * j
             m -= j
     assert rank == 0
     return out
@@ -750,25 +773,33 @@ def _run_length(rank, total, m, c, lo):
     and the intervals nest. With d = rank*(m - c) - lo*total, rank lies
     in the j-th interval exactly when -lo*tot_j <= d < hi*tot_j, where
     hi = m - c - lo; that is side*tot_j >= bound for one of the two
-    sides, fixed by the sign of d. J is the largest such j <= c.
+    sides, fixed by the sign of d. For the lowest symbol, lo = 0, the
+    interval is [0, tot_j), so side = 1 and bound = rank + 1, with no d
+    to compute. J is the largest such j <= c.
     `_run_guess` estimates it in floats. tot_j at the guess comes from
     the perms or, for a run longer than `_LONG_RUN` and than m - c,
     from binomials over the m - c other symbols, as `_rank_bit_string`
     takes a long run's coefficient. It is checked exactly at J and at
-    J + 1 and walked to the exact J if either check fails.
+    J + 1 and walked to the exact J if either check fails. The check at
+    j + 1 is cross-multiplied, side*tot_j*(c - j) >= bound*(m - j),
+    which is exact because tot_{j+1}*(m - j) = tot_j*(c - j), so a walk
+    up divides only when it moves.
     A symbol holding at most half of what remains is tried only after
     a repeat, and its runs mostly end there, so j = 2 is checked first.
     """
     if c == m:  # one symbol left: the rest of the block is this run
         return c, total
-    d = rank * (m - c) - lo * total
-    if d < 0:
-        side, bound = lo, -d
+    if not lo:
+        side, bound = 1, rank + 1
     else:
-        side, bound = m - c - lo, d + 1
+        d = rank * (m - c) - lo * total
+        if d < 0:
+            side, bound = lo, -d
+        else:
+            side, bound = m - c - lo, d + 1
     if 2 * c <= m:
         tot_j = total * c // m
-        if side * (tot_j * (c - 1) // (m - 1)) < bound:
+        if tot_j * (side * (c - 1)) < bound * (m - 1):
             return 1, tot_j
     j = _run_guess(bound, side, total, m, c)
     if j > _LONG_RUN and j > m - c:
@@ -778,12 +809,10 @@ def _run_length(rank, total, m, c, lo):
     else:
         tot_j = total * math.perm(c, j) // math.perm(m, j)
     if side * tot_j >= bound:
-        while j < c:  # is position m - j - 1 the same symbol?
-            nxt = tot_j * (c - j) // (m - j)
-            if side * nxt < bound:
-                break
+        # is position m - j - 1 the same symbol?
+        while j < c and tot_j * (side * (c - j)) >= bound * (m - j):
+            tot_j = tot_j * (c - j) // (m - j)
             j += 1
-            tot_j = nxt
     else:
         while True:  # ends by j == 1, which the cut has decided
             tot_j = tot_j * (m - j + 1) // (c - j + 1)
@@ -800,9 +829,12 @@ def _run_guess(bound, side, total, m, c):
     bound/(side*total). log a_j sums log((c - i)/(m - i)) over i < j,
     which is close to j times the log of its middle term: solve that
     with the first term, then once more with the middle term of the
-    run found.
+    run found. The ratio is one true division, taken to a float as
+    `_next_one` takes its own; only where it underflows to 0 are the
+    logs taken of the wide values themselves.
     """
-    target = _ln(bound) - math.log(side) - _ln(total)
+    ratio = float(bound / (side * total))
+    target = math.log(ratio) if ratio else _ln(bound) - math.log(side) - _ln(total)
     j = target / math.log(c / m)
     if j >= c:
         return c

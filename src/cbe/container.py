@@ -226,7 +226,7 @@ def _byte_tallies(data, block_size):
 
 
 def _unrank_byte_block(rank, counts, permutations):
-    return int.from_bytes(bytes(_unrank_counts(rank, counts, permutations)), "little")
+    return int.from_bytes(_unrank_counts(rank, counts, permutations), "little")
 
 
 def _bit_blocks(src, block_size):

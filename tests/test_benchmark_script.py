@@ -7,7 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPORA = ["constant", "text", "skewed-8", "random", "sorted", "bits-0.1",
-           "bits-0.9", "sparse", "runs"]
+           "bits-0.9", "sparse", "runs", "stdlib-src"]
 
 
 def _benchmark(*args):
@@ -28,6 +28,9 @@ def test_repeated_roundtrips():
     assert [line.split()[0] for line in lines[2:]] == CORPORA
     for line in lines[2:]:
         assert " enc " in line and " dec " in line and " dec/enc " in line
+        for label in ("zlib-9", "bz2-9", "lzma"):
+            assert f" {label} " in line
+    assert " sha256 " in lines[-1]
 
 
 def test_repeat_must_be_positive():

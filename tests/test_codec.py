@@ -410,6 +410,19 @@ class TestBitRunKernel:
         assert _unrank_bits(rank, n - ones, ones, permutations) == word
         assert time.perf_counter() - start < 0.2
 
+    def test_jump_whose_quotient_underflows_under_a_wide_type(self, monkeypatch):
+        # 119 ones at the bottom of 2^16 bits and one at 125: the first
+        # jump's rank/threshold is about 2^-1228, which gmpy2 gives as an
+        # mpfr that is true but converts to 0.0, so math.log of it fails
+        n, ones = 1 << 16, 120
+        word = (1 << 119) - 1 | 1 << 125
+        rank, counted, permutations = _rank_bit_string(bin(word | 1 << n)[:2:-1])
+        assert counted == ones and rank == math.comb(125, ones)
+        threshold = math.comb(n - 1, ones)
+        assert _Wide(rank) / _Wide(threshold) and float(rank / threshold) == 0.0
+        monkeypatch.setattr(codec, "mpz", _Wide)
+        assert _unrank_bits(rank, n - ones, ones, permutations) == word
+
 
 def _sparse_page(rng, size):
     """A page of zeros with 3% nonzero bytes."""
@@ -908,9 +921,27 @@ def _compositions(n):
             yield tuple(b - a for a, b in zip(ends, ends[1:]))
 
 
+class _Quotient:
+    """A true quotient as gmpy2 gives one of two mpz, an mpfr: its
+    exponent range is far wider than a double's, so a tiny one is still
+    true but converts to 0.0."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def __bool__(self):
+        return self.num != 0
+
+    def __float__(self):
+        return self.num / self.den
+
+
 class _Wide:
     """An integer type that, like gmpy2's mpz, is not an int, so
-    math.log takes it through float, which overflows past 1024 bits."""
+    math.log takes it through float, which overflows past 1024 bits,
+    and whose true division is an mpfr-like `_Quotient`."""
 
     __slots__ = ("value",)
 
@@ -941,6 +972,12 @@ class _Wide:
     def __rdivmod__(self, other):
         q, r = divmod(int(other), self.value)
         return _Wide(q), _Wide(r)
+
+    def __truediv__(self, other):
+        return _Quotient(self.value, int(other))
+
+    def __rtruediv__(self, other):
+        return _Quotient(int(other), self.value)
 
 
 def _lift(op):
@@ -1054,6 +1091,33 @@ class TestRunUnrank:
             monkeypatch.setattr(codec, "_run_guess", lambda *_: guess)
             assert _run_length(rank, total, m, c, 0) == want
 
+    def test_ranks_at_the_ends_of_a_sparse_page(self):
+        # P passes 2^1074, so at rank 1 the first zero run's ratio
+        # (rank + 1)/total underflows and `_run_guess` takes logs instead
+        data = _run_block("sparse", 4096, seed=7)
+        rank, table = encode(data, BYTE_ALPHABET)
+        permutations = permutation_count(table)
+        assert permutations.bit_length() > 1075
+        assert float(2 / permutations) == 0.0
+        for end in (1, 2, permutations - 2, permutations - 1):
+            _assert_unranks(end, table)
+
+    @pytest.mark.parametrize("kind", ["sparse", "runs-40", "sorted",
+                                      "reverse-sorted", "few-others"])
+    def test_byte_and_list_pools_agree(self, kind):
+        # up to 256 ids the pool and output are bytearrays; a 257th id,
+        # with no copies, keeps the list pool, which must decode alike
+        data = _run_block(kind, 4096, seed=13)
+        rank, table = encode(data, BYTE_ALPHABET)
+        counts = list(table.counts)
+        permutations = permutation_count(table)
+        for r in (0, 1, 2, rank, permutations - 2, permutations - 1):
+            narrow = codec._unrank_counts(r, counts, permutations)
+            wide = codec._unrank_counts(r, counts + [0], permutations)
+            assert isinstance(narrow, bytearray) and isinstance(wide, list)
+            assert list(narrow) == wide
+        assert codec._unrank_counts(rank, counts, permutations) == data
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_every_multiset_against_oracle(self, n):
         for counts in _compositions(n):
@@ -1075,10 +1139,14 @@ class TestRunUnrank:
         assert total.bit_length() > 1100
         with pytest.raises(OverflowError):
             float(wide(total))
-        bound = rank * (m - c) + 1  # with lo == 0, side is m - c
+        bound = rank + 1  # with lo == 0, side is 1
         assert bound.bit_length() > 1100
-        assert (_run_guess(wide(bound), m - c, wide(total), m, c)
-                == _run_guess(bound, m - c, total, m, c))
+        assert (_run_guess(wide(bound), 1, wide(total), m, c)
+                == _run_guess(bound, 1, total, m, c))
+        # and where the true quotient underflows, as at rank 1
+        assert float(wide(2) / wide(total)) == 0.0
+        assert (_run_guess(wide(2), 1, wide(total), m, c)
+                == _run_guess(2, 1, total, m, c))
         assert (_run_length(wide(rank), wide(total), m, c, 0)
                 == _run_length(rank, total, m, c, 0))
         # and so must the whole decoder, stepped exactly or windowed
