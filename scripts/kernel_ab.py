@@ -5,14 +5,17 @@ Loads `cbe` from PARENT/src and from this checkout's src side by side,
 as two packages under distinct names, and runs both on the same fixed,
 seeded block classes:
 
-    byte-sparse   4 KiB pages of zeros with 123 nonzero bytes
-    byte-random   4 KiB blocks of random bytes
-    sorted        4 KiB random blocks with their bytes sorted
-    skewed-8      4 KiB blocks over 8 symbols with skewed weights
-    runs          4 KiB of alternating 0x00 and 0xFF runs, 1 to 512 long
-    bit-records   bit blocks at p(1) = 0.1, 128 to 4096 bits long
-    bits-0.5      4096-bit blocks at p(1) = 0.5
-    bits-0.01     4096-bit blocks at p(1) = 0.01
+    byte-sparse      4 KiB pages of zeros with 123 nonzero bytes (3%)
+    byte-random      4 KiB blocks of random bytes
+    sorted           4 KiB random blocks with their bytes sorted
+    skewed-8         4 KiB blocks over 8 symbols with skewed weights
+    runs             4 KiB of alternating 0x00 and 0xFF runs, 1 to 512 long
+    byte-sparse-1%   4 KiB pages of zeros with 41 nonzero bytes (1%)
+    byte-sparse-16%  4 KiB pages of zeros with 655 nonzero bytes (16%),
+                     more than the sparse kernels take (`codec._SPARSE`)
+    bit-records      bit blocks at p(1) = 0.1, 128 to 4096 bits long
+    bits-0.5         4096-bit blocks at p(1) = 0.5
+    bits-0.01        4096-bit blocks at p(1) = 0.01
 
 Byte classes time the block ranker and unranker and the coders of the
 blocks' `CBE2` tables (`container._table_rank`, `_table_counts`), which
@@ -63,9 +66,9 @@ def load(src, name):
 
 def byte_classes(rng):
     """(name, blocks) for each byte class, BLOCKS_PER_CLASS blocks each."""
-    def sparse():
+    def sparse(nonzero=123):
         page = bytearray(BLOCK_BYTES)
-        for pos in rng.sample(range(BLOCK_BYTES), 123):
+        for pos in rng.sample(range(BLOCK_BYTES), nonzero):
             page[pos] = rng.randrange(1, 256)
         return bytes(page)
 
@@ -83,6 +86,8 @@ def byte_classes(rng):
         "skewed-8": lambda: bytes(rng.choices(
             range(8), weights=(40, 20, 10, 8, 8, 6, 4, 4), k=BLOCK_BYTES)),
         "runs": runs,
+        "byte-sparse-1%": lambda: sparse(41),
+        "byte-sparse-16%": lambda: sparse(655),
     }
     for name, make in makers.items():
         yield name, [make() for _ in range(BLOCKS_PER_CLASS)]
@@ -217,7 +222,7 @@ def main(argv=None):
     print(f"change/parent time, median [q1, q3] of {args.rounds} interleaved "
           f"rounds, {BLOCKS_PER_CLASS} blocks per class")
     for row in rows:
-        print(f"{row['class']:>12} {row['kernel']:>17}"
+        print(f"{row['class']:>15} {row['kernel']:>17}"
               f"  parent {row['parent_ms']:8.2f} ms  change {row['change_ms']:8.2f} ms"
               f"  {row['ratio']:.3f} [{row['q1']:.3f}, {row['q3']:.3f}]"
               f"  won {row['won']}/{row['rounds']}")

@@ -161,7 +161,14 @@ def _read_full(src, size: int) -> bytes:
 
 def _table_rank(counts):
     """(rank, count) of a block's table: the rank of its support and
-    composition (see the module docstring) among `count` tables."""
+    composition (see the module docstring) among `count` tables.
+
+    A one-symbol table needs no bit strings: its support, the one id,
+    ranks C(id, 1) = id among C(S, 1) = S sets, and n has one
+    composition, C(n - 1, 0) = 1, of rank 0.
+    """
+    if counts.count(0) == len(counts) - 1:
+        return counts.index(sum(counts)), len(counts)
     support, _, sets = _rank_bit_string("".join("1" if c else "0" for c in counts))
     parts, _, compositions = _rank_bit_string("1".join("0" * (c - 1) for c in counts if c))
     return support * compositions + parts, sets * compositions

@@ -107,6 +107,14 @@ class TestDecodeBinary:
         with pytest.raises(ValueError):
             decode_binary(0, -1, 3)
 
+    def test_rank_must_be_an_integer(self):
+        # 3.5 would truncate to rank 3, [1001]
+        for rank in (3.5, 3.0, "3", None):
+            with pytest.raises(TypeError):
+                decode_binary(rank, 2, 2)
+        assert numeral_from_arrivals(decode_binary(_Wide(3), 2, 2)) == "1001"
+        assert decode_binary(True, 2, 2) == decode_binary(1, 2, 2)
+
     def test_empty(self):
         assert decode_binary(0, 0, 0) == []
 
@@ -182,6 +190,15 @@ class TestDecode:
             decode(60, table)
         with pytest.raises(RankRangeError):
             decode(-1, table)
+
+    def test_rank_must_be_an_integer(self):
+        # 22.7 would truncate to banana's rank 22
+        table = FrequencyTable(ABN, (3, 1, 2))
+        for rank in (22.7, 22.0, "22", None):
+            with pytest.raises(TypeError):
+                decode(rank, table)
+        assert chars(decode(_Wide(22), table)) == "banana"
+        assert decode(True, table) == decode(1, table)
 
     def test_exhaustive_small_sweep(self):
         # every message over 3 symbols up to length 6 roundtrips
@@ -499,7 +516,8 @@ class TestRankMessageCount:
         fold = codec._fold
         monkeypatch.setattr(codec, "_fold",
                             lambda *args: folds.append(args) or fold(*args))
-        rank, counts, permutations = _rank_message(block, BYTE_ALPHABET)
+        # the generic kernel, which a sparse page would otherwise skip
+        rank, counts, permutations = codec._rank_generic(block, BYTE_ALPHABET)
         assert rank == want
         assert permutations == factorial_multinomial(counts)
         if kind == "sparse":
@@ -1006,7 +1024,12 @@ except ImportError:
 class TestRunUnrank:
     """The exact steps decode the run of one symbol at the top in one
     step: rank -= L_J and total = tot_J for the longest run J that the
-    nested intervals [L_j, L_j + tot_j) admit."""
+    nested intervals [L_j, L_j + tot_j) admit. Sparse pages would take
+    the sparse kernels, so here every block takes the generic ones."""
+
+    @pytest.fixture(autouse=True)
+    def generic_kernels(self, monkeypatch):
+        monkeypatch.setattr(codec, "_SPARSE", -1)
 
     BLOCKS = [("sparse", 4096), ("sparse", 600), ("runs-40", 4096),
               ("runs-40", 400), ("sorted", 4096), ("sorted", 300),
@@ -1153,3 +1176,193 @@ class TestRunUnrank:
         monkeypatch.setattr(codec, "mpz", wide)
         for block in (data, _run_block("runs-40", 4096, seed=5)):
             assert bytes(decode(*encode(block, BYTE_ALPHABET))) == block
+
+
+def _sparse_block(rng, n, nz, layout="spread", values=range(1, 256)):
+    """n bytes with nz nonzero ones, spread at random, packed in short
+    runs, packed at the first or last arrivals, or holding arrivals 0
+    and n - 1."""
+    block = bytearray(n)
+    if layout == "head":
+        positions = range(nz)
+    elif layout == "tail":
+        positions = range(n - nz, n)
+    elif layout == "runs":
+        positions = set()
+        while len(positions) < nz:
+            start = rng.randrange(n)
+            positions.update(range(start, min(start + rng.randint(1, 6), n)))
+        positions = sorted(positions)[:nz]
+    elif layout == "ends":
+        positions = {0, n - 1} if nz >= 2 else {n - 1} if nz else set()
+        positions |= set(rng.sample(range(1, n - 1), nz - len(positions)))
+    else:
+        positions = rng.sample(range(n), nz)
+    for pos in positions:
+        block[pos] = rng.choice(values)
+    return bytes(block)
+
+
+def _sparse_bound(n):
+    """The most nonzero bytes an n-byte block may hold and still take
+    the sparse kernels."""
+    return min((n - 1) // 2, math.isqrt(codec._SPARSE * n))
+
+
+def _check_sparse_kernels(block, extra_ranks=()):
+    """`_rank_message` and `_unrank_counts` give what the generic kernels
+    do, whichever they take, and the sparse kernels, where they apply,
+    give the same."""
+    zeros = block.count(0)
+    sparse = codec._is_sparse(len(block), zeros)
+    want = codec._rank_generic(block, BYTE_ALPHABET)
+    assert _rank_message(block, BYTE_ALPHABET) == want
+    if sparse:
+        assert codec._rank_sparse(block, zeros) == want
+    rank, counts, permutations = want
+    assert permutations == factorial_multinomial(counts)
+    ranks = {rank, 0, 1 % permutations, permutations - 1, permutations // 2,
+             *(r % permutations for r in extra_ranks)}
+    for r in ranks:
+        expected = codec._unrank_generic(r, counts, permutations)
+        got = codec._unrank_counts(r, counts, permutations)
+        assert isinstance(got, bytearray) and got == expected, r
+        if sparse:
+            assert codec._unrank_sparse(r, counts, permutations,
+                                        len(block), zeros) == expected
+    assert codec._unrank_counts(rank, counts, permutations) == block
+    return sparse
+
+
+class TestSparseKernels:
+    """A block whose zeros are the majority, with few nonzero bytes,
+    takes the sparse kernels, which give the generic kernels' ranks,
+    counts, P and blocks."""
+
+    CASES = [(1, 0, "spread"), (2, 1, "spread"), (3, 1, "ends"),
+             (9, 4, "ends"), (9, 4, "runs"), (100, 1, "ends"),
+             (4096, 0, "spread"), (4096, 1, "spread"), (4096, 2, "ends"),
+             (4096, 41, "spread"), (4096, 123, "runs"), (4096, 123, "ends"),
+             (4096, 512, "spread"), (4096, 513, "spread"), (1000, 252, "runs"),
+             (1000, 253, "runs"), (600, 40, "ends"), (9000, 200, "spread"),
+             (9000, 758, "runs"), (9000, 759, "spread"), (4096, 123, "head"),
+             (4096, 512, "tail"), (9000, 300, "tail")]
+
+    @pytest.mark.parametrize("n,nz,layout", CASES,
+                             ids=[f"{n}-{nz}-{layout}" for n, nz, layout in CASES])
+    def test_against_generic_kernels(self, n, nz, layout):
+        rng = random.Random(n * 1000 + nz)
+        for values in (range(1, 256), (1, 2, 3), (255,)):
+            block = _sparse_block(rng, n, nz, layout, values)
+            assert block.count(0) == n - nz
+            sparse = _check_sparse_kernels(block, [rng.getrandbits(64)])
+            assert sparse == (nz <= _sparse_bound(n))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(1, 9000).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.one_of(st.integers(0, _sparse_bound(n) + 1),
+                  st.sampled_from((0, 1, _sparse_bound(n),
+                                   _sparse_bound(n) + 1))).map(
+            lambda nz: min(nz, n)),
+        st.sampled_from(("spread", "runs", "ends", "head", "tail")),
+        st.sampled_from((range(1, 256), (1, 2), (7,))),
+        st.randoms(use_true_random=False))))
+    def test_random_blocks_against_generic_kernels(self, case):
+        n, nz, layout, values, rng = case
+        if layout == "ends" and nz > n - 2:
+            layout = "spread"
+        _check_sparse_kernels(_sparse_block(rng, n, nz, layout, values),
+                              [rng.getrandbits(9000)])
+
+    @pytest.mark.parametrize("n", [9, 1000, 4096, 9000])
+    def test_bound_selects_the_kernel(self, n, monkeypatch):
+        bound = _sparse_bound(n)
+        calls = []
+        for name in ("_rank_sparse", "_unrank_sparse"):
+            kernel = getattr(codec, name)
+            monkeypatch.setattr(codec, name, lambda *args, _k=kernel, _n=name:
+                                calls.append(_n) or _k(*args))
+        rng = random.Random(n)
+        for nz, takes in ((bound, True), (bound + 1, False)):
+            calls.clear()
+            block = _sparse_block(rng, n, nz)
+            rank, table = encode(block, BYTE_ALPHABET)
+            assert bytes(decode(rank, table)) == block
+            assert calls == (["_rank_sparse", "_unrank_sparse"] if takes else [])
+
+    @pytest.mark.parametrize("scale", [0.25, 0.8, 1, 1.25, 4])
+    def test_gap_ends_from_any_guess(self, scale, monkeypatch):
+        # the float guess only saves steps: scaled by any factor, the
+        # exact walk finds the least x with perm(x, nz) > e, also where
+        # e is a perm itself
+        ln = codec._ln
+        for nz in range(1, 9):
+            monkeypatch.setattr(codec, "_ln",
+                                lambda v, nz=nz: ln(v) + nz * math.log(scale))
+            for m in (nz, nz + 1, nz + 7, 60):
+                g = math.perm(m, nz)
+                for end in range(nz, m + 1):
+                    for e in {math.perm(end, nz) + d for d in (-1, 0, 1)}:
+                        if 0 < e < g:
+                            x = next(x for x in range(nz, m + 1)
+                                     if math.perm(x, nz) > e)
+                            assert codec._zero_gap(e, g, m, nz) == (
+                                x, math.perm(x - 1, nz - 1), math.perm(x - 1, nz))
+
+    def test_all_zero_block(self):
+        rank, counts, permutations = codec._rank_sparse(bytes(4096), 4096)
+        assert (rank, counts, permutations) == (0, [4096] + [0] * 255, 1)
+        assert codec._unrank_counts(0, counts, 1) == bytes(4096)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_small_zero_heavy_multisets_against_oracle(self, n):
+        tables = [counts for counts in _compositions(n) if 2 * counts[0] > n]
+        tables += [(counts[0], 0, *counts[1:]) for counts in tables]
+        assert tables or n == 1
+        for counts in tables:
+            rows = enumerate_in_rank_order(table_of(*counts))
+            total = len(rows)
+            padded = list(counts) + [0] * (256 - len(counts))
+            for rank, row in enumerate(rows):
+                assert tuple(codec._unrank_sparse(
+                    rank, counts, total, n, counts[0])) == row
+                assert codec._rank_sparse(bytes(row), counts[0]) == (
+                    rank, padded, total)
+
+    def test_list_pool_above_256_ids(self):
+        # ids above 255 keep a list pool and output, as the generic
+        # kernel does, whether or not those ids are present
+        rng = random.Random(256)
+        counts = [0] * 300
+        counts[0] = 3000
+        for k in rng.sample(range(1, 300), 60):
+            counts[k] = rng.randint(1, 3)
+        permutations = factorial_multinomial(counts)
+        assert codec._is_sparse(sum(counts), counts[0])
+        for r in (0, 1, permutations - 1, rng.randrange(permutations)):
+            got = codec._unrank_counts(r, counts, permutations)
+            assert isinstance(got, list)
+            assert got == codec._unrank_generic(r, counts, permutations)
+        block = _sparse_block(rng, 4096, 100)
+        rank, counts, permutations = _rank_message(block, BYTE_ALPHABET)
+        wide = codec._unrank_counts(rank, counts + [0], permutations)
+        assert isinstance(wide, list) and bytes(wide) == block
+
+    @pytest.mark.parametrize("wide", WIDE_TYPES,
+                             ids=lambda t: t.__module__ + "." + t.__name__)
+    def test_wide_operands_of_any_integer_type(self, wide, monkeypatch):
+        # rank*D and perm(m, nz) pass 1024 bits, where a float overflows,
+        # and at ranks 1 and 2 the first gap's guess starts below nz/3
+        block = _sparse_block(random.Random(5), 4096, 123)
+        rank, counts, permutations = codec._rank_generic(block, BYTE_ALPHABET)
+        assert permutations.bit_length() > 1100
+        ranks = (1, 2, rank, permutations - 1)
+        want = [codec._unrank_generic(r, counts, permutations) for r in ranks]
+        zeros = block.count(0)
+        monkeypatch.setattr(codec, "mpz", wide)
+        assert codec._rank_sparse(block, zeros) == (rank, counts, permutations)
+        assert [codec._unrank_sparse(r, counts, permutations, 4096, zeros)
+                for r in ranks] == want
+        table = FrequencyTable(BYTE_ALPHABET, tuple(counts))
+        assert bytes(decode(wide(rank), table)) == block

@@ -673,6 +673,26 @@ class TestTableRank:
         two = Alphabet((0, 1))
         assert table == encode(support, two)[0] * compositions + encode(bars, two)[0]
 
+    @pytest.mark.parametrize("symbols", [2, 256])
+    def test_one_symbol_tables_build_no_strings(self, symbols, monkeypatch):
+        # a one-symbol table is (id, S) directly; the general coder,
+        # over the same support and composition bits, agrees
+        two = Alphabet((0, 1))
+        want = {}
+        for k in range(symbols):
+            for n in (1, 2, 7, 4096):
+                counts = [0] * symbols
+                counts[k] = n
+                support = encode([int(c > 0) for c in counts], two)[0]
+                want[k, n] = (support + encode([0] * (n - 1), two)[0],
+                              math.comb(symbols, 1))
+        monkeypatch.setattr(container, "_rank_bit_string", None)
+        for (k, n), (table, tables) in want.items():
+            counts = [0] * symbols
+            counts[k] = n
+            assert _table_rank(counts) == (table, tables) == (k, symbols)
+            assert container._table_counts(table, symbols, n, 1, tables, 1) == counts
+
 
 class _DribbleReader:
     """File-like source that returns at most two bytes per read."""

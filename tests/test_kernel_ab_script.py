@@ -7,7 +7,8 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BYTE_CLASSES = ["byte-sparse", "byte-random", "sorted", "skewed-8", "runs"]
+BYTE_CLASSES = ["byte-sparse", "byte-random", "sorted", "skewed-8", "runs",
+                "byte-sparse-1%", "byte-sparse-16%"]
 BIT_CLASSES = ["bit-records", "bits-0.5", "bits-0.01"]
 BYTE_KERNELS = ["_rank_message", "_unrank_counts", "_table_rank", "_table_counts"]
 BIT_KERNELS = ["_rank_bit_string", "_unrank_bits"]
